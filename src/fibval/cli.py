@@ -235,10 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormulaIntegrityError as exc:

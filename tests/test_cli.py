@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,21 @@ def test_eval_integrity_error_exits_1(capsys, monkeypatch):
     code, _, err = run(capsys, "eval", "--p", "2", "--a", "2", "--n", "3")
     assert code == 1
     assert "integrity" in err
+
+
+def test_eval_large_prime_general(capsys):
+    code, out, _ = run(capsys, "eval", "--p", "1000000007", "--m", "10", "--k", "3")
+    assert code == 0
+    assert out == "nu (formula) = 0\n"
+
+
+def test_eval_prime_near_2_63_explain(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "--p", "9223372036854775783", "--a", "1", "--n", "1",
+                       "--explain")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "z = 9223372036854775784" in out.splitlines()
 
 
 # --- scan -------------------------------------------------------------------

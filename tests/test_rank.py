@@ -1,9 +1,12 @@
 import math
+import random
+import time
 
 import pytest
 
+from fibval import rank
 from fibval.rank import Mod5Class, congruence_class_mod5, rank_of_apparition
-from fibval.arith import fib, nu
+from fibval.arith import fib, fib_mod, is_prime, nu
 
 
 def sieve(limit: int) -> list[int]:
@@ -13,6 +16,27 @@ def sieve(limit: int) -> list[int]:
         if flags[i]:
             flags[i * i:: i] = bytearray(len(flags[i * i:: i]))
     return [i for i, f in enumerate(flags) if f]
+
+
+def side(p: int) -> int:
+    """p - (5/p): the number z(p) divides, for p != 5."""
+    return p + 1 if p % 5 in (2, 3) else p - 1
+
+
+def random_prime(rng: random.Random, bits: int) -> int:
+    while True:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(p):
+            return p
+
+
+def half_side_prime(rng: random.Random, bits: int) -> int:
+    """A prime p whose (p -+ 1)/2 is prime too: N = 2 * prime, the worst
+    case for trial division."""
+    while True:
+        p = random_prime(rng, bits)
+        if is_prime(side(p) // 2):
+            return p
 
 
 def test_examples():
@@ -45,8 +69,7 @@ def test_side_divisibility_up_to_1e4():
         if p == 5:
             assert rec.z == 5
             continue
-        side = p + 1 if p % 5 in (2, 3) else p - 1
-        assert side % rec.z == 0, p
+        assert side(p) % rec.z == 0, p
         assert math.gcd(rec.z, p) == 1
         assert rec.nu_fz >= 1
 
@@ -65,3 +88,38 @@ def test_nu_fz_matches_exact_fibonacci():
     for p in sieve(200):
         rec = rank_of_apparition(p)
         assert rec.nu_fz == nu(p, fib(rec.z)).value
+
+
+def test_large_primes_rank():
+    rng = random.Random(2019)
+    primes = [random_prime(rng, bits) for bits in (20, 32, 48, 62, 63, 64) for _ in range(3)]
+    primes += [half_side_prime(rng, bits) for bits in (32, 48, 62)]
+    primes.append((1 << 64) - 59)  # the largest prime below 2^64
+    rank.clear_cache()
+    for p in primes:
+        start = time.perf_counter()
+        rec = rank_of_apparition(p)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.1, (p, elapsed)
+        assert side(p) % rec.z == 0, p
+        assert fib_mod(rec.z, p) == 0, p
+        for q in rank._prime_factors(rec.z):
+            assert fib_mod(rec.z // q, p) != 0, (p, q)
+        assert rec.nu_fz >= 1
+
+
+def test_prime_factors_random_below_2_64():
+    rng = random.Random(1908)
+    samples = [rng.randrange(1, 1 << 64) for _ in range(100)]
+    # a square and a product of two primes near 2^32: the slowest cases for rho
+    samples += [4294967291**2, 4294967279 * 4294967291, 1, 2, 1023**2, 1 << 63]
+    for n in samples:
+        factors = rank._prime_factors(n)
+        assert factors == sorted(set(factors)), n
+        rest = n
+        for q in factors:
+            assert is_prime(q), (n, q)
+            assert rest % q == 0, (n, q)
+            while rest % q == 0:
+                rest //= q
+        assert rest == 1, n
