@@ -10,8 +10,9 @@ as a long self-check.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fibval.formulas import is_odd_2n, is_odd_4n, is_odd_8n
 

@@ -2,17 +2,19 @@
 """Run the full formula-vs-oracle verification grid and print the report.
 
 Defaults reproduce the heaviest everyday check: eleven primes, exponents
-up to 4, every index p^a*n <= 1e5, modular oracle.  Exit code follows the
-CLI convention (0 ok, 1 mismatch, 4 coverage gap).
+up to 4, every index p^a*n <= 1e5, modular oracle.  This is ``fibval
+verify`` with n-max equal to the index cap, so the report and the exit
+code follow the CLI convention (0 ok, 1 mismatch, 2 usage error, 4
+coverage gap).
 """
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fibval.oracle import OracleTier
-from fibval.verify import VerifyConfig, run_verify
+from fibval.cli import main as fibval_main
 
 DEFAULT_PRIMES = "2,3,5,7,11,13,17,19,23,29,31"
 
@@ -24,20 +26,9 @@ def main() -> int:
     parser.add_argument("--index-cap", type=int, default=10**5)
     parser.add_argument("--tier", choices=["exact", "modular"], default="modular")
     args = parser.parse_args()
-
-    config = VerifyConfig(
-        primes=tuple(int(tok) for tok in args.p_set.split(",")),
-        a_max=args.a_max,
-        n_max=args.index_cap,
-        index_cap=args.index_cap,
-        tier=OracleTier(args.tier),
-    )
-    report = run_verify(config)
-    print(report.to_json())
-    print(f"checked {report.cells_checked} cells: {len(report.mismatches)} mismatches, "
-          f"{len(report.uncovered)} uncovered branches "
-          f"[{report.elapsed_seconds:.1f}s]", file=sys.stderr)
-    return report.exit_code
+    return fibval_main(["verify", "--p-set", args.p_set, "--a-max", str(args.a_max),
+                        "--n-max", str(args.index_cap), "--index-cap", str(args.index_cap),
+                        "--tier", args.tier])
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from .arith import (
     is_prime,
     nu,
     nu_factorial,
-    nu_floor_factorial,
 )
 from .formulas import (
     BRANCH_LABELS,
@@ -72,7 +71,6 @@ __all__ = [
     "nu_factorial",
     "nu_fibonomial_formula",
     "nu_fibonomial_oracle",
-    "nu_floor_factorial",
     "nu_ratio_prime_powers",
     "nup_central",
     "rank_of_apparition",

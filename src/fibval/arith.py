@@ -145,10 +145,7 @@ def nu_factorial(p: int, n: int) -> Valuation:
     require_prime(p)
     if n < 0:
         raise ValueError(f"factorial argument must be >= 0, got {n}")
-    num = n - digit_sum(p, n)
-    if num % (p - 1):
-        raise FormulaIntegrityError(f"(n - s_p(n)) not divisible by p-1 for p={p}, n={n}")
-    return Valuation(num // (p - 1), Method.FORMULA)
+    return Valuation(_nu_factorial_int(p, n), Method.FORMULA)
 
 
 def _nu_factorial_int(p: int, n: int) -> int:
@@ -157,46 +154,3 @@ def _nu_factorial_int(p: int, n: int) -> int:
     if num % (p - 1):
         raise FormulaIntegrityError(f"(n - s_p(n)) not divisible by p-1 for p={p}, n={n}")
     return num // (p - 1)
-
-
-def geometric_sum(p: int, a: int) -> int:
-    """1 + p + ... + p^(a-1), i.e. (p^a - 1)/(p - 1) without division."""
-    total = 0
-    term = 1
-    for _ in range(a):
-        total += term
-        term *= p
-    return total
-
-
-def nu_floor_factorial(p: int, a: int, l: int, m: int) -> Valuation:
-    """nu_p(floor(l * p^a / m)!) in closed form, for p = +-1 (mod m).
-
-    Three branches: p = 1 (mod m); p = -1 (mod m) with a even; p = -1
-    (mod m) with a odd.  Each combines l*(p^a - 1)/(m*(p-1)) with a
-    fractional-part correction over the common denominator m, and the
-    division by m is asserted exact.
-    """
-    require_prime(p)
-    if a < 0 or l < 0 or m < 1:
-        raise ValueError(f"need a >= 0, l >= 0, m >= 1; got a={a}, l={l}, m={m}")
-    pm1 = p % m == 1 % m
-    pm_minus1 = (p + 1) % m == 0
-    if not (pm1 or pm_minus1):
-        raise ValueError(f"p = {p} is not +-1 (mod {m})")
-    q = geometric_sum(p, a)
-    tail = _nu_factorial_int(p, l // m)
-    if pm1:
-        num = l * q - a * (l % m)
-        if num % m:
-            raise FormulaIntegrityError(f"non-integer branch value: p={p}, a={a}, l={l}, m={m}")
-        return Valuation(num // m + tail, Method.FORMULA)
-    delta = 1 if l % m else 0
-    if a % 2 == 0:
-        if (l * q) % m:
-            raise FormulaIntegrityError(f"non-integer branch value: p={p}, a={a}, l={l}, m={m}")
-        return Valuation(l * q // m - (a // 2) * delta + tail, Method.FORMULA)
-    num = l * q - (l % m)
-    if num % m:
-        raise FormulaIntegrityError(f"non-integer branch value: p={p}, a={a}, l={l}, m={m}")
-    return Valuation(num // m - ((a - 1) // 2) * delta + tail, Method.FORMULA)

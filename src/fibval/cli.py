@@ -6,18 +6,24 @@ branch coverage), table (per-n valuation tables).
 
 Exit codes: 0 ok; 1 formula/oracle mismatch or integrity failure; 2 usage;
 3 eval disagreement under --method both; 4 branch-coverage gap.
+
+The library validates primes and indices itself (every ValueError it raises
+exits 2), so the commands check only what it cannot: flag presence, flags
+>= 1, and the index range of a whole scan or table before its first row.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
 from .arith import FormulaIntegrityError, require_prime
 from .formulas import (
-    INDEX_CAP,
+    BranchTrace,
+    check_index,
     is_odd_2n,
     is_odd_4n,
     is_odd_8n,
@@ -34,10 +40,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_COVERAGE = 4
-
-
-class UsageError(ValueError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,36 +91,27 @@ def build_parser() -> argparse.ArgumentParser:
 def _require_positive(**kwargs: int) -> None:
     for name, value in kwargs.items():
         if value < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _check_cap(index: int) -> None:
-    if index > INDEX_CAP:
-        raise UsageError(f"index {index} exceeds the 2^63 cap")
-
-
-_TRACE_FIELDS = ("modulus", "r", "s", "A", "delta", "epsilon", "z", "nu_fz", "b",
-                 "m_prime", "k_prime")
+_TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(BranchTrace)
+                      if f.name not in ("theorem", "branch_label"))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    require_prime(args.p)
     central = args.a is not None or args.n is not None
     general = args.m is not None or args.k is not None
     if central == general:
-        raise UsageError("give either --a/--n (central form) or --m/--k (general form)")
+        raise ValueError("give either --a/--n (central form) or --m/--k (general form)")
     if central:
         if args.a is None or args.n is None:
-            raise UsageError("central form needs both --a and --n")
+            raise ValueError("central form needs both --a and --n")
         _require_positive(a=args.a, n=args.n)
-        m_index, k_index = args.p**args.a * args.n, args.n
+        m_index, k_index = check_index(args.p, args.a, args.n), args.n
     else:
         if args.m is None or args.k is None:
-            raise UsageError("general form needs both --m and --k")
-        if not 0 <= args.k <= args.m:
-            raise UsageError(f"need 0 <= k <= m, got m={args.m}, k={args.k}")
+            raise ValueError("general form needs both --m and --k")
         m_index, k_index = args.m, args.k
-    _check_cap(m_index)
 
     formula_value = None
     if args.method in ("formula", "both"):
@@ -140,7 +133,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.method in ("oracle", "both"):
         tier = OracleTier.EXACT if m_index <= exact_cap() else OracleTier.MODULAR
         if tier is OracleTier.MODULAR and m_index > MODULAR_CAP:
-            raise UsageError(f"index {m_index} exceeds the modular-oracle cap {MODULAR_CAP}")
+            raise ValueError(f"index {m_index} exceeds the modular-oracle cap {MODULAR_CAP}")
         oracle_value = nu_fibonomial_oracle(args.p, m_index, k_index, tier).value
         print(f"nu (oracle/{tier.value}) = {oracle_value}")
 
@@ -166,9 +159,9 @@ def _odd_fibonomial(p: int, a: int, n: int) -> bool:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    require_prime(args.p)
+    require_prime(args.p)  # for p != 2, odd_fibonomial evaluates at the prime 2 only
     _require_positive(a=args.a, n_max=args.n_max)
-    _check_cap(args.p**args.a * args.n_max)
+    check_index(args.p, args.a, args.n_max)
     hits = []
     for n in range(1, args.n_max + 1):
         if args.predicate == "odd_fibonomial":
@@ -190,13 +183,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         primes = tuple(int(tok) for tok in args.p_set.split(",") if tok.strip())
     except ValueError as exc:
-        raise UsageError(f"bad --p-set: {exc}") from exc
+        raise ValueError(f"bad --p-set: {exc}") from exc
     if not primes:
-        raise UsageError("--p-set is empty")
-    for p in primes:
-        require_prime(p)
+        raise ValueError("--p-set is empty")
     _require_positive(a_max=args.a_max, n_max=args.n_max, index_cap=args.index_cap)
-    _check_cap(args.index_cap)
+    check_index(1, 1, args.index_cap)
     config = VerifyConfig(primes=primes, a_max=args.a_max, n_max=args.n_max,
                           index_cap=args.index_cap,
                           tier=OracleTier(args.tier))
@@ -209,9 +200,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    require_prime(args.p)
     _require_positive(a=args.a, n_max=args.n_max)
-    _check_cap(args.p**args.a * args.n_max)
+    check_index(args.p, args.a, args.n_max)
     rows = []
     for n in range(1, args.n_max + 1):
         val, trace = nu_central(args.p, args.a, n)
@@ -235,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:  # UsageError is a ValueError
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormulaIntegrityError as exc:

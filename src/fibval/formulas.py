@@ -13,6 +13,12 @@ formulas claim to be an integer is divided with an exactness check, and
 the trickiest case table (the 2-adic central delta) is encoded twice and
 compared at runtime, so a transcription slip fails loudly instead of
 returning a plausible wrong number.
+
+Each public entry validates its input once, through two gates.  The prime
+gate is ``rank_of_apparition(p)``: its record exists only for a prime, and
+it carries everything the formulas read about p (z(p), nu_p(F_z(p)) and
+p mod 5).  The index gate is ``check_index``, which bounds p^a*n by bit
+lengths before it builds p**a and returns the index for reuse.
 """
 
 from __future__ import annotations
@@ -27,9 +33,8 @@ from .arith import (
     _nu_factorial_int,
     _nu_int,
     digit_sum,
-    require_prime,
 )
-from .rank import Mod5Class, congruence_class_mod5, rank_of_apparition
+from .rank import Mod5Class, RankRecord, rank_of_apparition
 
 # Residues and floors use a fixed-width fast path; larger indices would
 # need new caps on the oracle side anyway.
@@ -122,9 +127,20 @@ def all_qualified_labels() -> tuple[str, ...]:
     return tuple(qualified_label(t, lab) for t, labs in BRANCH_LABELS.items() for lab in labs)
 
 
-def _check_index(m: int) -> None:
-    if m > INDEX_CAP:
-        raise ValueError(f"index {m} exceeds the 2^63 cap")
+def check_index(p: int, a: int, n: int) -> int:
+    """The index p^a*n, after checking a >= 1, n >= 1 and p^a*n <= INDEX_CAP.
+
+    p^a*n >= 2^(a*(bitlen p - 1) + bitlen n - 1), so when that exponent
+    reaches 64 the index is rejected before p**a is built; otherwise the
+    product is small enough to build and compare exactly.
+    """
+    if a < 1 or n < 1:
+        raise ValueError(f"index {p}^{a}*{n} needs a >= 1 and n >= 1")
+    if a * (p.bit_length() - 1) + n.bit_length() <= 64:
+        index = p**a * n
+        if index <= INDEX_CAP:
+            return index
+    raise ValueError(f"index {p}^{a}*{n} exceeds the 2^63 cap")
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +156,11 @@ assert all(r > s for r, s in _EXC_GE) and all(r < s for r, s in _EXC_LT)
 
 def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrace]:
     """nu_p of the (m, k) Fibonomial coefficient, closed form."""
-    require_prime(p)
+    rec = rank_of_apparition(p)
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={m}, k={k}")
-    _check_index(m)
+    if m:  # m = 0 is the (0, 0) coefficient, below any cap
+        check_index(1, 1, m)
     if k == 0 or k == m:
         theorem = Theorem.T2ADIC_GENERAL if p == 2 else (
             Theorem.T5ADIC if p == 5 else Theorem.TP_GENERAL_MK)
@@ -152,7 +169,7 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
         return _nu2_general(m, k)
     if p == 5:
         return _nu5_general(m, k)
-    return _nup_general(p, m, k)
+    return _nup_general(rec, m, k)
 
 
 def _nu2_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
@@ -185,9 +202,8 @@ def _nu5_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     return Valuation(value, Method.FORMULA), trace
 
 
-def _nup_general(p: int, m: int, k: int) -> tuple[Valuation, BranchTrace]:
-    rec = rank_of_apparition(p)
-    z = rec.z
+def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrace]:
+    p, z = rec.p, rec.z
     mp, r = divmod(m, z)
     kp, s = divmod(k, z)
     value = (_nu_factorial_int(p, mp)
@@ -213,20 +229,18 @@ def nu_ratio_prime_powers(p: int, l1: int, b: int, l2: int, a: int
     Requires l1*p^b > l2*p^a strictly; the equal-index case is the trivial
     coefficient 1 and is the caller's job.
     """
-    require_prime(p)
+    rec = rank_of_apparition(p)
     if p == 5:
         raise ValueError("the prime-power-ratio formula excludes p = 5")
-    if min(l1, l2, a) < 1:
-        raise ValueError(f"need l1, l2, a >= 1, got l1={l1}, l2={l2}, a={a}")
     if b < a:
         raise ValueError(f"need b >= a, got b={b}, a={a}")
-    m_index = l1 * p**b
-    _check_index(m_index)
-    if m_index <= l2 * p**a:
-        raise ValueError(f"need l1*p^b > l2*p^a, got {m_index} <= {l2 * p**a}")
+    m_index = check_index(p, b, l1)
+    k_index = check_index(p, a, l2)
+    if m_index <= k_index:
+        raise ValueError(f"need l1*p^b > l2*p^a, got {m_index} <= {k_index}")
     if p == 2:
         return _nu2_ratio(l1, b, l2, a)
-    return _nup_ratio(p, l1, b, l2, a)
+    return _nup_ratio(rec, l1, b, l2, a)
 
 
 def _binom_val(p: int, mp: int, kp: int) -> int:
@@ -278,15 +292,15 @@ def _nu2_ratio(l1: int, b: int, l2: int, a: int) -> tuple[Valuation, BranchTrace
     return Valuation(value, Method.FORMULA), trace
 
 
-def _nup_ratio(p: int, l1: int, b: int, l2: int, a: int) -> tuple[Valuation, BranchTrace]:
-    rec = rank_of_apparition(p)
-    z = rec.z
+def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
+               ) -> tuple[Valuation, BranchTrace]:
+    p, z = rec.p, rec.z
     mp = l1 * p**(b - a) // z
     kp = l2 // z
     r = l1 * pow(p, b, z) % z
     s = l2 * pow(p, a, z) % z
     binom = _binom_val(p, mp, kp)
-    if congruence_class_mod5(p) is Mod5Class.PLUS_MINUS_1:
+    if rec.mod5 is Mod5Class.PLUS_MINUS_1:
         if r < s:
             value = a + _gap_val(p, mp, kp, "pm1 r<s") + rec.nu_fz + binom
             label = "pm1 r<s"
@@ -338,11 +352,6 @@ def _delta2_iverson(a: int, n: int, res6: int, b: int) -> int:
     return d
 
 
-def _require_central_args(a: int, n: int) -> None:
-    if a < 1 or n < 1:
-        raise ValueError(f"central form needs a >= 1 and n >= 1, got a={a}, n={n}")
-
-
 def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     """nu_2 of the (2^a*n, n) Fibonomial coefficient.
 
@@ -350,12 +359,11 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     eps = [3 does not divide n], c = a/2 or (a-1)/2 by parity of a, and
     delta looked up from the case tables above.
     """
-    _require_central_args(a, n)
-    _check_index(n << a)
+    index = check_index(2, a, n)
     b = (n & -n).bit_length() - 1
     res6 = n % 6
     eps = 1 if n % 3 else 0
-    A = ((1 << a) - 1) * n // (3 << b)
+    A = (index - n) // (3 << b)
     if a % 2 == 0:
         delta = DELTA2_EVEN_A[res6]
         coeff = a // 2
@@ -379,16 +387,14 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     value = delta + A.bit_count() - coeff * eps
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p=2, a={a}, n={n})")
-    trace = BranchTrace(Theorem.C2ADIC, label, modulus=6, r=(n << a) % 6, s=res6,
+    trace = BranchTrace(Theorem.C2ADIC, label, modulus=6, r=index % 6, s=res6,
                         A=A, delta=delta, epsilon=eps, z=3, nu_fz=1, b=b)
     return Valuation(value, Method.FORMULA), trace
 
 
 def nu5_central(a: int, n: int) -> Valuation:
     """nu_5 of the (5^a*n, n) Fibonomial: s_5((5^a-1)*n) / 4, always >= 1."""
-    _require_central_args(a, n)
-    _check_index(5**a * n)
-    ssum = digit_sum(5, (5**a - 1) * n)
+    ssum = digit_sum(5, check_index(5, a, n) - n)
     if ssum % 4:
         raise FormulaIntegrityError(f"s_5((5^a-1)n) = {ssum} not divisible by 4 at (a={a}, n={n})")
     value = ssum // 4
@@ -410,23 +416,19 @@ def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
     Dispatches on p mod 5 and the parity of a; all fractional parts are
     combined over the common denominator z(p)*(p-1) and checked exact.
     """
-    require_prime(p)
     if p in (2, 5):
         raise ValueError("use nu2_central / nu5_central for p = 2, 5")
-    _require_central_args(a, n)
-    pa = p**a
-    _check_index(pa * n)
     rec = rank_of_apparition(p)
+    index = check_index(p, a, n)
     z, nu_fz = rec.z, rec.nu_fz
     b = _nu_int(p, n)
     ell = n // p**b
-    r = (pa % z) * n % z
+    r = index % z
     s = n % z
-    A = n * (pa - 1) // (p**b * z)
+    A = (index - n) // (p**b * z)
     spA = digit_sum(p, A)
-    cls = congruence_class_mod5(p)
     delta: int | None = None
-    if cls is Mod5Class.PLUS_MINUS_1:
+    if rec.mod5 is Mod5Class.PLUS_MINUS_1:
         if r != s:
             raise FormulaIntegrityError(f"r != s for p={p} = +-1 (mod 5)")
         den = z * (p - 1)
@@ -471,8 +473,7 @@ def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
 
 
 def nu_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
-    """Central-shape dispatcher over p."""
-    require_prime(p)
+    """Central-shape dispatcher over p; the callee validates p, a and n."""
     if p == 2:
         return nu2_central(a, n)
     if p == 5:
@@ -546,32 +547,27 @@ def divides_p_central(p: int, a: int, n: int) -> tuple[bool, DivReason]:
     valuation is computed.  A False answer always means the valuation is
     zero, and is reported as such.
     """
-    require_prime(p)
-    _require_central_args(a, n)
+    rec = rank_of_apparition(p)
+    index = check_index(p, a, n)
     if p == 5:
-        _check_index(5**a * n)
         return True, DivReason.P_EQUALS_5
     if p == 2:
-        _check_index(n << a)
         if n % 3 == 0:
             return True, DivReason.Z_DIVIDES_N
         if nu2_central(a, n)[0].value > 0:
             return True, DivReason.FORMULA_POSITIVE
         return False, DivReason.FORMULA_ZERO
-    pa = p**a
-    _check_index(pa * n)
-    rec = rank_of_apparition(p)
     z = rec.z
     if n % z == 0:
         return True, DivReason.Z_DIVIDES_N
-    if congruence_class_mod5(p) is Mod5Class.PLUS_MINUS_2:
+    if rec.mod5 is Mod5Class.PLUS_MINUS_2:
         b = _nu_int(p, n)
-        A = n * (pa - 1) // (p**b * z)
+        A = (index - n) // (p**b * z)
         if a % 2 == 0:
             if digit_sum(p, A) > (a // 2) * (p - 1):
                 return True, DivReason.THRESHOLD_EVEN_A
             return False, DivReason.FORMULA_ZERO
-        r = (pa % z) * n % z
+        r = index % z
         s = n % z
         if b == 0:
             if r < s:

@@ -8,7 +8,10 @@ rho on the cofactor) plus O(log N) fib_mod calls per prime factor, which
 bounds it for every prime below 2^64.
 
 Records are cached per prime because the formula layer queries the same
-handful of primes millions of times during a grid run.
+handful of primes millions of times during a grid run.  A record exists only
+for a prime: a cache miss runs ``require_prime`` first, so the record is the
+formula layer's proof that p is prime, and p's class mod 5 is read from it
+without a second primality test.
 """
 
 from __future__ import annotations
@@ -41,23 +44,30 @@ class RankRecord:
     z: int       # smallest index with p | F_z
     nu_fz: int   # nu_p(F_z), always >= 1
 
+    @property
+    def mod5(self) -> Mod5Class:
+        """Residue class of p mod 5 that selects the closed-form branch."""
+        if self.p == 5:
+            return Mod5Class.IS_5
+        if self.p % 5 in (1, 4):
+            return Mod5Class.PLUS_MINUS_1
+        return Mod5Class.PLUS_MINUS_2
+
 
 _cache: dict[int, RankRecord] = {}
 _cache_lock = threading.Lock()
 
 
 def congruence_class_mod5(p: int) -> Mod5Class:
-    """Residue class of p mod 5 that selects the closed-form branch."""
-    require_prime(p)
-    if p == 5:
-        return Mod5Class.IS_5
-    if p % 5 in (1, 4):
-        return Mod5Class.PLUS_MINUS_1
-    return Mod5Class.PLUS_MINUS_2
+    """Residue class of a prime p mod 5 that selects the closed-form branch."""
+    return rank_of_apparition(p).mod5
 
 
 def rank_of_apparition(p: int) -> RankRecord:
     """RankRecord for a prime p, computed on first use and cached.
+
+    A miss checks that p is prime (ValueError otherwise, or for p >= 2^64);
+    a hit is a dict lookup.
 
     z is the least divisor of N = p - (5/p) with p | F_z: starting from N,
     each prime factor q of N is divided out while F_(z/q) = 0 (mod p).  The

@@ -44,6 +44,13 @@ class VerifyConfig:
     def n_limit(self, p: int, a: int) -> int:
         return min(self.n_max, self.index_cap // p**a)
 
+    def exponents(self, p: int) -> range:
+        """The a <= a_max with p^a <= index_cap; no cell lies beyond them."""
+        a, pa = 0, p
+        while a < self.a_max and pa <= self.index_cap:
+            a, pa = a + 1, pa * p
+        return range(1, a + 1)
+
 
 @dataclass(frozen=True, slots=True)
 class Mismatch:
@@ -169,7 +176,7 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
         rank_of_apparition(p)  # validates primality up front
     if config.tier is OracleTier.EXACT:
         top = max((p**a * config.n_limit(p, a)
-                   for p in config.primes for a in range(1, config.a_max + 1)
+                   for p in config.primes for a in config.exponents(p)
                    if config.n_limit(p, a) >= 1), default=0)
         cap = exact_cap()
         if top > cap:
@@ -188,7 +195,7 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
             coverage[key] += 1
 
     for p in sorted(config.primes):
-        for a in range(1, config.a_max + 1):
+        for a in config.exponents(p):
             pa = p**a
             for n in range(1, config.n_limit(p, a) + 1):
                 cells += 1

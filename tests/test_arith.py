@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fibval.arith import (
@@ -7,11 +7,9 @@ from fibval.arith import (
     digit_sum,
     fib,
     fib_mod,
-    geometric_sum,
     is_prime,
     nu,
     nu_factorial,
-    nu_floor_factorial,
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -150,12 +148,6 @@ def test_nu_factorial_matches_legendre_sum(p, n):
     assert nu_factorial(p, n).value == legendre_sum(p, n)
 
 
-def test_geometric_sum():
-    assert geometric_sum(3, 0) == 0
-    assert geometric_sum(3, 4) == 1 + 3 + 9 + 27
-    assert geometric_sum(2, 5) == 31
-
-
 def test_is_prime_spot_checks():
     assert [n for n in range(2, 40) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -201,41 +193,3 @@ def test_floor_of_sum(a, b):
 def test_nested_floor_collapses(pair, k):
     num, den = pair
     assert (num // den) // k == num // (den * k)
-
-
-# --- closed-form factorial valuation of floor(l * p^a / m) -----------------
-
-def test_nu_floor_factorial_examples():
-    assert nu_floor_factorial(3, 2, 1, 4).value == 0
-    assert nu_floor_factorial(5, 1, 1, 4).value == 0
-    assert nu_floor_factorial(3, 0, 7, 4).value == nu_factorial(3, 1).value == 0
-
-
-def test_nu_floor_factorial_rejects_bad_modulus():
-    # 7 is neither +1 nor -1 mod 5
-    with pytest.raises(ValueError):
-        nu_floor_factorial(7, 1, 3, 5)
-
-
-def test_nu_floor_factorial_full_grid():
-    for p in (2, 3, 7, 11, 13, 17, 19):
-        for m in range(1, 21):
-            if p % m != 1 % m and (p + 1) % m != 0:
-                continue
-            for a in range(0, 7):
-                pa = p**a
-                for l in range(0, 201):
-                    got = nu_floor_factorial(p, a, l, m).value
-                    want = nu_factorial(p, l * pa // m).value
-                    assert got == want, (p, a, l, m)
-
-
-@settings(max_examples=200)
-@given(st.sampled_from((2, 3, 7, 11, 13, 17, 19, 23, 29)),
-       st.integers(min_value=0, max_value=8),
-       st.integers(min_value=0, max_value=10**4),
-       st.integers(min_value=1, max_value=30))
-def test_nu_floor_factorial_random(p, a, l, m):
-    if p % m != 1 % m and (p + 1) % m != 0:
-        return
-    assert nu_floor_factorial(p, a, l, m).value == legendre_sum(p, l * p**a // m)

@@ -41,6 +41,27 @@ def test_eval_general_explain(capsys):
     assert "s = 2" in lines
 
 
+def test_eval_central_explain_prints_fields_in_trace_order(capsys):
+    code, out, _ = run(capsys, "eval", "--p", "7", "--a", "2", "--n", "7", "--explain")
+    assert code == 0
+    assert out == ("nu (formula) = 0\ntheorem = Cp\nbranch = pm2 a even\n"
+                   "modulus = 8\nr = 7\ns = 7\nA = 6\nz = 8\nnu_fz = 1\nb = 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--p", "3", "--a", "1000000000", "--n", "1"),
+    ("scan", "--p", "3", "--a", "1000000000", "--n-max", "5", "--predicate", "divisible"),
+    ("table", "--p", "3", "--a", "1000000000", "--n-max", "5"),
+])
+def test_huge_exponent_is_a_fast_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
 def test_eval_modular_tier_for_large_index(capsys):
     code, out, _ = run(capsys, "eval", "--p", "3", "--a", "1", "--n", "200",
                        "--method", "oracle")

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from fibval.formulas import (
     INDEX_CAP,
     DivReason,
     Theorem,
+    check_index,
     divides_p_central,
     is_odd_2n,
     is_odd_4n,
@@ -349,3 +351,67 @@ def test_divides_pm2_matches_oracle_sign(p, a, data):
     n = data.draw(st.integers(min_value=1, max_value=max(1, 3 * 10**4 // p**a)))
     divisible = divides_p_central(p, a, n)[0]
     assert divisible == (oracle(p, p**a * n, n) > 0)
+
+
+# --- input gates --------------------------------------------------------------
+# Every central-style entry as f(p, a, n); nu2_central and nu5_central fix
+# their own prime, and the ratio entry evaluates (p^a*(n+1), p^a*n).
+
+GATED = {
+    "nu_central": nu_central,
+    "nup_central": nup_central,
+    "nu2_central": lambda p, a, n: nu2_central(a, n),
+    "nu5_central": lambda p, a, n: nu5_central(a, n),
+    "divides_p_central": divides_p_central,
+    "nu_ratio_prime_powers": lambda p, a, n: nu_ratio_prime_powers(p, n + 1, a, n, a),
+}
+TAKES_P = ("nu_central", "nup_central", "divides_p_central", "nu_ratio_prime_powers")
+
+
+def test_check_index_is_exact_at_the_cap():
+    for p in (2, 3, 7, 31, 1000003, 2**31 - 1, 2**63 - 25, 2**64 - 59):
+        for a in range(1, 70):
+            for n in (1, 2, 3, 5, 2**20 - 1, 2**31, 2**62 + 1):
+                index = p**a * n
+                if index <= INDEX_CAP:
+                    assert check_index(p, a, n) == index
+                else:
+                    with pytest.raises(ValueError, match="cap"):
+                        check_index(p, a, n)
+    assert check_index(2, 63, 1) == INDEX_CAP
+    for a, n in ((0, 1), (1, 0), (-1, 5), (3, -2)):
+        with pytest.raises(ValueError):
+            check_index(3, a, n)
+
+
+@pytest.mark.parametrize("name", TAKES_P)
+@pytest.mark.parametrize("p", [1, 9, 91, 2**64 + 1, 2**65 - 49])
+def test_gate_rejects_composite_and_huge_p(name, p):
+    with pytest.raises(ValueError):
+        GATED[name](p, 1, 1)
+
+
+@pytest.mark.parametrize("name", list(GATED))
+def test_gate_rejects_huge_exponent_in_under_1ms(name):
+    GATED[name](3, 1, 1)  # the rank record of 3 is cached from here on
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cap"):
+            GATED[name](3, 10**9, 1)
+        best = min(best, time.perf_counter() - start)
+    assert best < 1e-3
+
+
+@pytest.mark.parametrize("name", list(GATED))
+def test_warm_evaluation_makes_no_primality_test(name, monkeypatch):
+    import fibval.arith as arith
+
+    p = 1000003  # = 3 (mod 5); one is_prime call costs about 15 us here
+    expected = GATED[name](p, 2, 7)  # warms the rank cache
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    assert GATED[name](p, 2, 7) == expected
+    assert calls == []
+

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -123,3 +124,15 @@ def test_mismatch_rows_sorted_and_serializable(monkeypatch):
     ns = [r["n"] for r in rows if r["n"] is not None]
     assert ns == sorted(ns)
     assert list(rows[0]) == ["p", "a", "n", "formula", "oracle", "branch", "m", "k", "check"]
+
+
+def test_exponents_beyond_the_index_cap_cost_nothing():
+    start = time.perf_counter()
+    huge = run_verify(VerifyConfig(primes=(2, 3), a_max=10**9, n_max=5, index_cap=200))
+    assert time.perf_counter() - start < 1.0
+    small = run_verify(VerifyConfig(primes=(2, 3), a_max=8, n_max=5, index_cap=200))
+    assert huge.cells_checked == small.cells_checked
+    assert huge.branch_coverage == small.branch_coverage
+    assert huge.expected == small.expected
+    assert json.loads(huge.to_json())["grid"]["a_max"] == 10**9
+
