@@ -1,9 +1,13 @@
 import json
+import string
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibval.formulas as formulas
+from fibval import oracle, rank
 from fibval.cli import main
 
 
@@ -108,6 +112,21 @@ def test_eval_prime_near_2_63_explain(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert "z = 9223372036854775784" in out.splitlines()
+
+
+def test_eval_both_at_index_3e6_is_fast(capsys):
+    # tier B builds the prefix of p = 999983 to m = 2,999,949 in one sweep
+    rank.clear_cache()
+    oracle.clear_caches()
+    start = time.perf_counter()
+    try:
+        code, out, _ = run(capsys, "eval", "--p", "999983", "--a", "1", "--n", "3",
+                           "--method", "both")
+    finally:
+        oracle.clear_caches()
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert out.endswith("agreement: ok\n")
 
 
 # --- scan -------------------------------------------------------------------
@@ -260,3 +279,76 @@ def test_verify_exact_tier_with_raised_cap(capsys, monkeypatch):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+
+
+# --- fuzz -------------------------------------------------------------------
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 2**64 - 59)
+# Well-formed values stay small so that an example costs milliseconds: scan,
+# table and verify do work in proportion to their ranges.
+GOOD = {
+    "--p": st.sampled_from(SMALL_PRIMES),
+    "--p-set": st.lists(st.sampled_from(SMALL_PRIMES[:-1]), min_size=1, max_size=3).map(
+        lambda ps: ",".join(map(str, ps))),
+    "--a": st.integers(1, 3), "--a-max": st.integers(1, 3),
+    "--n": st.integers(1, 12), "--n-max": st.integers(1, 12),
+    "--m": st.integers(0, 40), "--k": st.integers(0, 40),
+    "--index-cap": st.integers(1, 2000),
+}
+FORMS = {  # flag -> its choices, () for a number from GOOD, None for a switch
+    "eval-central": ("eval", {"--p": (), "--a": (), "--n": (),
+                              "--method": ("formula", "oracle", "both"), "--explain": None}),
+    "eval-general": ("eval", {"--p": (), "--m": (), "--k": (),
+                              "--method": ("formula", "oracle", "both"), "--explain": None}),
+    "scan": ("scan", {"--p": (), "--a": (), "--n-max": (),
+                      "--predicate": ("divisible", "not_divisible", "odd_fibonomial"),
+                      "--format": ("lines", "json")}),
+    "verify": ("verify", {"--p-set": (), "--a-max": (), "--n-max": (), "--index-cap": (),
+                          "--tier": ("modular", "exact")}),
+    "table": ("table", {"--p": (), "--a": (), "--n-max": (), "--format": ("csv", "json")}),
+}
+ALL_FLAGS = sorted({flag for _, flags in FORMS.values() for flag in flags})
+# A broken value: negative down to -2^70, zero, up to 100, past the 2^63 index
+# cap up to 2^70, or not a number.  Values from 101 to 2^62 are left out: they
+# are well formed and only ask for a longer scan or table.
+BAD = st.one_of(st.integers(-2**70, 0), st.integers(2**62, 2**70), st.integers(1, 100)).map(str) \
+    | st.sampled_from(["", "x", "1.5", "1e3", "-", "2,,3", "oracle", "csv"]) \
+    | st.text(alphabet=string.ascii_letters + " .,-", max_size=6)
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed command, or one with a few flags dropped, added or given bad values."""
+    command, flags = FORMS[draw(st.sampled_from(sorted(FORMS)))]
+    faults = draw(st.lists(st.sampled_from(["drop", "add", "value", "trailing"]), max_size=3))
+    chosen = list(flags)
+    for fault in faults:
+        if fault == "drop" and chosen:
+            chosen.remove(draw(st.sampled_from(chosen)))
+        elif fault == "add":
+            chosen.append(draw(st.sampled_from(ALL_FLAGS)))
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        argv.append(flag)
+        if flags.get(flag, ()) is None:
+            continue
+        if "value" in faults and draw(st.booleans()):
+            argv.append(draw(BAD))
+        elif flags.get(flag):
+            argv.append(draw(st.sampled_from(flags[flag])))
+        elif flag in GOOD:
+            argv.append(str(draw(GOOD[flag])))
+        else:
+            argv.append(draw(BAD))
+    if "trailing" in faults:
+        argv.append(draw(BAD))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_fuzz_main_returns_a_documented_exit_code(argv):
+    try:
+        assert main(argv) in (0, 1, 2, 3, 4), argv
+    finally:
+        oracle.clear_caches()

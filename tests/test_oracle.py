@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibval.arith import Method, fib
+import fibval.arith as arith
+from fibval import oracle
+from fibval.arith import FormulaIntegrityError, Method, fib, fib_mod
 from fibval.oracle import (
     EXACT_CAP_DEFAULT,
     MODULAR_CAP,
@@ -118,3 +120,88 @@ def test_oracle_never_imports_the_formula_layer():
     imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names]
     assert not any("formulas" in mod or "rank" in mod for mod in imported), imported
+
+
+# --- tier-B recurrence sweep --------------------------------------------------
+
+F_83 = 99194853094755497  # a Fibonacci prime: z(F_83) = 83, and F_83^2 > 2^63, so E = 1
+SWEEP_PRIMES = (2, 3, 5, 7, 11, 13, 999983, 2**64 - 59, F_83)
+
+
+@pytest.fixture
+def cold_prefixes():
+    oracle.clear_caches()
+    yield
+    oracle.clear_caches()
+
+
+def running_sums(p: int, top: int) -> list[int]:
+    sums = [0]
+    for i in range(1, top + 1):
+        sums.append(sums[-1] + oracle._index_valuation(p, i))
+    return sums
+
+
+def test_sweep_modulus_is_the_largest_power_below_2_63():
+    assert oracle._sweep_modulus(2) == 2**62
+    assert oracle._sweep_modulus(3) == 3**39
+    assert 3**40 > 2**63
+    assert oracle._sweep_modulus(F_83) == F_83
+    assert oracle._sweep_modulus(2**64 - 59) == 2**64 - 59
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_sweep_matches_index_valuation(cold_prefixes, monkeypatch, p):
+    expected = running_sums(p, 3000)
+    fallbacks = []
+    real = oracle._index_valuation
+    monkeypatch.setattr(oracle, "_index_valuation", lambda p, i: fallbacks.append(i) or real(p, i))
+    assert list(oracle._valuation_prefix(p, 3000)) == expected
+    # only F_83 reaches a residue of 0 mod p^E below index 3000, at each multiple of 83
+    assert fallbacks == (list(range(83, 3001, 83)) if p == F_83 else [])
+
+
+@pytest.mark.parametrize("p", (2, 7, F_83))
+def test_incremental_builds_match_cold_build(cold_prefixes, p):
+    for top in (1000, 1500, 3000):
+        oracle._valuation_prefix(p, top)
+    warm = list(oracle._val_sums[p])
+    assert len(warm) == 4007  # built to 1000, then at least doubled: 2002, 4006
+    oracle.clear_caches()
+    assert warm == list(oracle._valuation_prefix(p, 4006))
+
+
+@pytest.mark.parametrize("wrong_index", [0, 500])  # the seed, then the end-of-build check
+def test_wrong_fib_mod_fails_the_end_of_build_check(cold_prefixes, monkeypatch, wrong_index):
+    def corrupted(m, modulus):
+        value = fib_mod(m, modulus)
+        return (value + 1) % modulus if m == wrong_index else value
+
+    monkeypatch.setattr(oracle, "fib_mod", corrupted)
+    with pytest.raises(FormulaIntegrityError):
+        nu_fibonomial_oracle(7, 500, 3)
+    assert list(oracle._val_sums[7]) == [0]  # nothing unchecked is kept
+    monkeypatch.setattr(oracle, "fib_mod", fib_mod)
+    assert list(oracle._valuation_prefix(7, 500)) == running_sums(7, 500)
+
+
+def test_warm_modular_call_makes_no_primality_test(cold_prefixes, monkeypatch):
+    p = 1000003
+    expected = nu_fibonomial_oracle(p, 3000, 1000)  # checks p and builds its prefix
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    assert nu_fibonomial_oracle(p, 3000, 1000) == expected
+    assert nu_fibonomial_oracle(p, 4000, 7) == nu_fibonomial_oracle(p, 4000, 7)
+    assert calls == []
+    nu_fibonomial_oracle(p, 30, 7, OracleTier.EXACT)  # tier A keeps its per-call check
+    assert calls == [p]
+
+
+@pytest.mark.parametrize("tier", list(OracleTier))
+@pytest.mark.parametrize("p", [1, 9, 91, 2**64 + 1])
+def test_oracle_rejects_composite_and_huge_p_before_the_index_check(p, tier):
+    expected = "expected a prime" if p < 2**64 else "n < 2\\^64"
+    with pytest.raises(ValueError, match=expected):
+        nu_fibonomial_oracle(p, 5, 9, tier)  # k > m would fail next
+    assert p not in oracle._val_sums
