@@ -35,7 +35,7 @@ from .formulas import (
     nup_central,
 )
 from .oracle import OracleTier, fibonomial_exact, nu_fibonomial_oracle
-from .rank import Mod5Class, RankRecord, congruence_class_mod5, rank_of_apparition
+from .rank import Mod5Class, RankRecord, rank_of_apparition
 from .verify import VerifyConfig, VerifyReport, run_verify
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "Valuation",
     "VerifyConfig",
     "VerifyReport",
-    "congruence_class_mod5",
     "digit_sum",
     "divides_p_central",
     "fib",

@@ -9,7 +9,8 @@ Exit codes: 0 ok; 1 formula/oracle mismatch or integrity failure; 2 usage;
 
 The library validates primes and indices itself (every ValueError it raises
 exits 2), so the commands check only what it cannot: flag presence, flags
->= 1, and the index range of a whole scan or table before its first row.
+>= 1, and the range of a whole scan or table before its first row: at most
+N_MAX_CAP rows, none past the index cap.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_COVERAGE = 4
+
+N_MAX_CAP = 10**5  # most rows of a scan or table; a table holds them all before it prints
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,6 +95,14 @@ def _require_positive(**kwargs: int) -> None:
     for name, value in kwargs.items():
         if value < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
+def _check_range(args: argparse.Namespace) -> None:
+    """Bound the rows of a scan or table before the first one is computed."""
+    _require_positive(a=args.a, n_max=args.n_max)
+    if args.n_max > N_MAX_CAP:
+        raise ValueError(f"--n-max {args.n_max} exceeds the cap {N_MAX_CAP}")
+    check_index(args.p, args.a, args.n_max)
 
 
 _TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(BranchTrace)
@@ -160,8 +171,7 @@ def _odd_fibonomial(p: int, a: int, n: int) -> bool:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     require_prime(args.p)  # for p != 2, odd_fibonomial evaluates at the prime 2 only
-    _require_positive(a=args.a, n_max=args.n_max)
-    check_index(args.p, args.a, args.n_max)
+    _check_range(args)
     hits = []
     for n in range(1, args.n_max + 1):
         if args.predicate == "odd_fibonomial":
@@ -200,8 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    _require_positive(a=args.a, n_max=args.n_max)
-    check_index(args.p, args.a, args.n_max)
+    _check_range(args)
     rows = []
     for n in range(1, args.n_max + 1):
         val, trace = nu_central(args.p, args.a, n)
@@ -212,8 +221,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["p", "a", "n", "nu", "branch"])
-        for row in rows:
-            writer.writerow([row["p"], row["a"], row["n"], row["nu"], row["branch"]])
+        writer.writerows(row.values() for row in rows)
     return EXIT_OK
 
 

@@ -82,41 +82,57 @@ class BranchTrace:
 
 BOUNDARY_LABEL = "boundary"  # k = 0 or k = m; short-circuits every theorem
 
-#: Every dispatchable case of every formula, keyed by theorem.  The verify
-#: harness requires each (reachable) label to fire at least once.
+#: Least central cofactor of a row that needs n >= z(p) (see BRANCH_REACH).
+AT_RANK = "z(p)"
+
+#: Every dispatchable case of every formula, with the reach a verify run
+#: needs to fire it: (theorem, label, prime class, least a, least n).  The
+#: prime class is "2", "5", "odd" (any other prime), "pm1" or "pm2" (an odd
+#: prime = +-1 or +-2 mod 5).  The least a is the a_max the run needs.  The
+#: least n is that of a central cell (p^a*n, n) at the least a; None marks a
+#: row that only the general or ratio sweeps reach, and AT_RANK n >= z(p).
+BRANCH_REACH: tuple[tuple[Theorem, str, str, int, int | str | None], ...] = (
+    (Theorem.T2ADIC_GENERAL, "r>=s", "2", 1, None),
+    (Theorem.T2ADIC_GENERAL, "r>=s exceptional", "2", 1, None),
+    (Theorem.T2ADIC_GENERAL, "r<s exceptional", "2", 1, None),
+    (Theorem.T2ADIC_GENERAL, "r<s", "2", 1, None),
+    (Theorem.T5ADIC, "binomial", "5", 1, None),
+    (Theorem.TP_GENERAL_MK, "r>=s", "odd", 1, None),
+    (Theorem.TP_GENERAL_MK, "r<s", "odd", 1, None),
+    (Theorem.TRATIO, "p2 a=b (eq or l2=0)", "2", 1, None),
+    (Theorem.TRATIO, "p2 a=b (l1=0)", "2", 1, None),
+    (Theorem.TRATIO, "p2 a=b (1,2)", "2", 1, None),
+    (Theorem.TRATIO, "p2 a=b (2,1)", "2", 1, None),
+    (Theorem.TRATIO, "p2 a!=b (neg or l2=0)", "2", 1, None),
+    (Theorem.TRATIO, "p2 a!=b (l1=0)", "2", 1, None),
+    (Theorem.TRATIO, "p2 a!=b (1,1)", "2", 1, None),
+    (Theorem.TRATIO, "p2 a!=b (2,2)", "2", 1, None),
+    (Theorem.TRATIO, "pm1 r>=s", "pm1", 1, None),
+    (Theorem.TRATIO, "pm1 r<s", "pm1", 1, None),
+    (Theorem.TRATIO, "pm2 r=s or l2=0", "pm2", 1, None),
+    (Theorem.TRATIO, "pm2 l1=0", "pm2", 1, None),
+    (Theorem.TRATIO, "pm2 a even r>s", "pm2", 2, None),
+    (Theorem.TRATIO, "pm2 a even r<s", "pm2", 2, None),
+    (Theorem.TRATIO, "pm2 a odd r>s", "pm2", 1, None),
+    (Theorem.TRATIO, "pm2 a odd r<s", "pm2", 1, None),
+    (Theorem.C2ADIC, "a even, n%6 in {3,5}", "2", 2, 3),
+    (Theorem.C2ADIC, "a even, n%6 in {0,1,2,4}", "2", 2, 1),
+    (Theorem.C2ADIC, "a odd, n odd", "2", 1, 1),
+    (Theorem.C2ADIC, "a odd, n%6=0", "2", 1, 6),
+    (Theorem.C2ADIC, "a odd, n%6=2", "2", 1, 2),
+    (Theorem.C2ADIC, "a odd, n%6=4", "2", 1, 4),
+    (Theorem.C5ADIC, "s5 digit sum", "5", 1, 1),
+    (Theorem.CP, "pm1", "pm1", 1, 1),
+    (Theorem.CP, "pm2 a even", "pm2", 2, 1),
+    (Theorem.CP, "pm2 a odd r=s", "pm2", 1, AT_RANK),
+    (Theorem.CP, "pm2 a odd r<s", "pm2", 1, AT_RANK),
+    (Theorem.CP, "pm2 a odd r>s", "pm2", 1, AT_RANK),
+)
+
+#: Every branch label, keyed by theorem; the verify harness requires each
+#: label in reach to fire at least once.
 BRANCH_LABELS: dict[Theorem, tuple[str, ...]] = {
-    Theorem.T2ADIC_GENERAL: ("r>=s", "r>=s exceptional", "r<s exceptional", "r<s"),
-    Theorem.T5ADIC: ("binomial",),
-    Theorem.TP_GENERAL_MK: ("r>=s", "r<s"),
-    Theorem.TRATIO: (
-        "p2 a=b (eq or l2=0)",
-        "p2 a=b (l1=0)",
-        "p2 a=b (1,2)",
-        "p2 a=b (2,1)",
-        "p2 a!=b (neg or l2=0)",
-        "p2 a!=b (l1=0)",
-        "p2 a!=b (1,1)",
-        "p2 a!=b (2,2)",
-        "pm1 r>=s",
-        "pm1 r<s",
-        "pm2 r=s or l2=0",
-        "pm2 l1=0",
-        "pm2 a even r>s",
-        "pm2 a even r<s",
-        "pm2 a odd r>s",
-        "pm2 a odd r<s",
-    ),
-    Theorem.C2ADIC: (
-        "a even, n%6 in {3,5}",
-        "a even, n%6 in {0,1,2,4}",
-        "a odd, n odd",
-        "a odd, n%6=0",
-        "a odd, n%6=2",
-        "a odd, n%6=4",
-    ),
-    Theorem.C5ADIC: ("s5 digit sum",),
-    Theorem.CP: ("pm1", "pm2 a even", "pm2 a odd r=s", "pm2 a odd r<s", "pm2 a odd r>s"),
-}
+    theorem: tuple(row[1] for row in BRANCH_REACH if row[0] is theorem) for theorem in Theorem}
 
 
 def qualified_label(theorem: Theorem, label: str) -> str:
@@ -124,7 +140,7 @@ def qualified_label(theorem: Theorem, label: str) -> str:
 
 
 def all_qualified_labels() -> tuple[str, ...]:
-    return tuple(qualified_label(t, lab) for t, labs in BRANCH_LABELS.items() for lab in labs)
+    return tuple(qualified_label(row[0], row[1]) for row in BRANCH_REACH)
 
 
 def check_index(p: int, a: int, n: int) -> int:
@@ -172,6 +188,13 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
     return _nup_general(rec, m, k)
 
 
+def _binom_val(p: int, mp: int, kp: int) -> int:
+    """nu_p of the binomial coefficient C(mp, kp), by Legendre's formula."""
+    return (_nu_factorial_int(p, mp)
+            - _nu_factorial_int(p, kp)
+            - _nu_factorial_int(p, mp - kp))
+
+
 def _nu2_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     r, s = m % 6, k % 6
     a2 = (_nu_factorial_int(2, m // 6)
@@ -195,9 +218,7 @@ def _nu2_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
 
 def _nu5_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     # 5-adically the Fibonomial and the ordinary binomial agree.
-    value = (_nu_factorial_int(5, m)
-             - _nu_factorial_int(5, k)
-             - _nu_factorial_int(5, m - k))
+    value = _binom_val(5, m, k)
     trace = BranchTrace(Theorem.T5ADIC, "binomial", modulus=5, z=5, nu_fz=1)
     return Valuation(value, Method.FORMULA), trace
 
@@ -206,9 +227,7 @@ def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrac
     p, z = rec.p, rec.z
     mp, r = divmod(m, z)
     kp, s = divmod(k, z)
-    value = (_nu_factorial_int(p, mp)
-             - _nu_factorial_int(p, kp)
-             - _nu_factorial_int(p, mp - kp))
+    value = _binom_val(p, mp, kp)
     if r < s:
         value += _nu_int(p, (m - k) // z + 1) + rec.nu_fz
         label = "r<s"
@@ -241,12 +260,6 @@ def nu_ratio_prime_powers(p: int, l1: int, b: int, l2: int, a: int
     if p == 2:
         return _nu2_ratio(l1, b, l2, a)
     return _nup_ratio(rec, l1, b, l2, a)
-
-
-def _binom_val(p: int, mp: int, kp: int) -> int:
-    return (_nu_factorial_int(p, mp)
-            - _nu_factorial_int(p, kp)
-            - _nu_factorial_int(p, mp - kp))
 
 
 def _gap_val(p: int, mp: int, kp: int, where: str) -> int:

@@ -58,11 +58,6 @@ _cache: dict[int, RankRecord] = {}
 _cache_lock = threading.Lock()
 
 
-def congruence_class_mod5(p: int) -> Mod5Class:
-    """Residue class of a prime p mod 5 that selects the closed-form branch."""
-    return rank_of_apparition(p).mod5
-
-
 def rank_of_apparition(p: int) -> RankRecord:
     """RankRecord for a prime p, computed on first use and cached.
 

@@ -5,20 +5,24 @@ the closed form against the brute-force oracle, and re-derives each cell
 through the general and ratio formulas where those apply.  Two small
 deterministic sweeps are appended so that case-table rows the central grid
 can never reach (e.g. ratio rows with distinct cofactors) still fire; the
-sweeps are checked against the modular oracle.
+sweeps are checked against the modular oracle.  Every formula call, central
+or swept, is compared with its oracle value in one place.
+
+Which branches a run must reach is declared beside the labels, in
+``formulas.BRANCH_REACH``: each label's prime class, least exponent a and
+least central cofactor n.  ``expected_labels`` only filters that table.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .arith import FormulaIntegrityError, _nu_int
 from .formulas import (
-    BRANCH_LABELS,
-    BranchTrace,
-    Theorem,
+    AT_RANK,
+    BRANCH_REACH,
     all_qualified_labels,
     nu_central,
     nu_fibonomial_formula,
@@ -38,8 +42,6 @@ class VerifyConfig:
     n_max: int
     index_cap: int = 10**5
     tier: OracleTier = OracleTier.MODULAR
-    consistency: bool = True
-    coverage_sweep: bool = True
 
     def n_limit(self, p: int, a: int) -> int:
         return min(self.n_max, self.index_cap // p**a)
@@ -65,9 +67,7 @@ class Mismatch:
     check: str
 
     def as_dict(self) -> dict:
-        return {"p": self.p, "a": self.a, "n": self.n, "formula": self.formula,
-                "oracle": self.oracle, "branch": self.branch,
-                "m": self.m, "k": self.k, "check": self.check}
+        return asdict(self)
 
 
 @dataclass(slots=True)
@@ -93,13 +93,7 @@ class VerifyReport:
 
     def to_json(self) -> str:
         doc = {
-            "grid": {
-                "primes": list(self.config.primes),
-                "a_max": self.config.a_max,
-                "n_max": self.config.n_max,
-                "index_cap": self.config.index_cap,
-                "tier": self.config.tier.value,
-            },
+            "grid": {**asdict(self.config), "tier": self.config.tier.value},
             "cells_checked": self.cells_checked,
             "mismatches": [m.as_dict() for m in self.mismatches],
             "branch_coverage": self.branch_coverage,
@@ -109,66 +103,33 @@ class VerifyReport:
         return json.dumps(doc, indent=2)
 
 
+def _prime_classes(p: int) -> tuple[str, ...]:
+    """The BRANCH_REACH prime classes that contain the prime p."""
+    if p in (2, 5):
+        return (str(p),)
+    return ("odd", "pm1" if p % 5 in (1, 4) else "pm2")
+
+
 def expected_labels(config: VerifyConfig) -> tuple[str, ...]:
     """Branch labels a run of this configuration is required to reach.
 
-    Labels whose theorem or case is out of scope for the configured primes
-    and exponent range are exempt; anything listed here but never hit makes
-    the run fail with a coverage gap.
+    Each label's reach is declared in ``formulas.BRANCH_REACH``.  A label is
+    required when a_max is at least its least a and some configured prime is
+    in its class and, for a central row, has that least n on the grid at that
+    a.  Anything listed here but never hit makes the run fail with a
+    coverage gap.  The order is the declaration order.
     """
-    primes = set(config.primes)
     exp: list[str] = []
-
-    def add(theorem: Theorem, *labels: str) -> None:
-        exp.extend(qualified_label(theorem, lab) for lab in labels)
-
-    if 2 in primes:
-        if config.coverage_sweep:
-            add(Theorem.T2ADIC_GENERAL, *BRANCH_LABELS[Theorem.T2ADIC_GENERAL])
-            add(Theorem.TRATIO, "p2 a=b (eq or l2=0)", "p2 a=b (l1=0)", "p2 a=b (1,2)",
-                "p2 a=b (2,1)", "p2 a!=b (neg or l2=0)", "p2 a!=b (l1=0)",
-                "p2 a!=b (1,1)", "p2 a!=b (2,2)")
-        n1 = config.n_limit(2, 1)
-        if n1 >= 1:
-            add(Theorem.C2ADIC, "a odd, n odd")
-        if n1 >= 2:
-            add(Theorem.C2ADIC, "a odd, n%6=2")
-        if n1 >= 4:
-            add(Theorem.C2ADIC, "a odd, n%6=4")
-        if n1 >= 6:
-            add(Theorem.C2ADIC, "a odd, n%6=0")
-        if config.a_max >= 2:
-            n2 = config.n_limit(2, 2)
-            if n2 >= 1:
-                add(Theorem.C2ADIC, "a even, n%6 in {0,1,2,4}")
-            if n2 >= 3:
-                add(Theorem.C2ADIC, "a even, n%6 in {3,5}")
-    if 5 in primes:
-        if config.coverage_sweep:
-            add(Theorem.T5ADIC, "binomial")
-        if config.n_limit(5, 1) >= 1:
-            add(Theorem.C5ADIC, "s5 digit sum")
-    odd_ps = sorted(p for p in primes if p not in (2, 5))
-    if odd_ps and config.coverage_sweep:
-        add(Theorem.TP_GENERAL_MK, "r>=s", "r<s")
-    pm1_ps = [p for p in odd_ps if p % 5 in (1, 4)]
-    pm2_ps = [p for p in odd_ps if p % 5 in (2, 3)]
-    if pm1_ps:
-        if any(config.n_limit(p, 1) >= 1 for p in pm1_ps):
-            add(Theorem.CP, "pm1")
-        if config.coverage_sweep:
-            add(Theorem.TRATIO, "pm1 r>=s", "pm1 r<s")
-    if pm2_ps:
-        if config.a_max >= 2 and any(config.n_limit(p, 2) >= 1 for p in pm2_ps):
-            add(Theorem.CP, "pm2 a even")
-        if any(config.n_limit(p, 1) >= rank_of_apparition(p).z for p in pm2_ps):
-            add(Theorem.CP, "pm2 a odd r=s", "pm2 a odd r<s", "pm2 a odd r>s")
-        if config.coverage_sweep:
-            add(Theorem.TRATIO, "pm2 r=s or l2=0", "pm2 l1=0",
-                "pm2 a odd r>s", "pm2 a odd r<s")
-            if config.a_max >= 2:
-                add(Theorem.TRATIO, "pm2 a even r>s", "pm2 a even r<s")
-    return tuple(dict.fromkeys(exp))
+    for theorem, label, prime_class, a, n in BRANCH_REACH:
+        if config.a_max < a:
+            continue
+        for p in config.primes:
+            if prime_class in _prime_classes(p) and (
+                    n is None or config.n_limit(p, a) >= (
+                        rank_of_apparition(p).z if n == AT_RANK else n)):
+                exp.append(qualified_label(theorem, label))
+                break
+    return tuple(exp)
 
 
 def run_verify(config: VerifyConfig) -> VerifyReport:
@@ -189,10 +150,20 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
     mismatches: list[Mismatch] = []
     cells = 0
 
-    def hit(trace: BranchTrace) -> None:
-        key = qualified_label(trace.theorem, trace.branch_label)
-        if key in coverage:
-            coverage[key] += 1
+    def compare(fn, args, ora, p, a, n, m, k, check) -> None:
+        """Evaluate fn(*args), count the branch it took, and record a
+        Mismatch row if its value differs from the oracle value ora."""
+        try:
+            val, trace = fn(*args)
+        except FormulaIntegrityError:
+            value, branch = None, INTEGRITY_BRANCH
+        else:
+            value, branch = val.value, trace.branch_label
+            key = qualified_label(trace.theorem, branch)
+            if key in coverage:
+                coverage[key] += 1
+        if value != ora:
+            mismatches.append(Mismatch(p, a, n, value, ora, branch, m, k, check))
 
     for p in sorted(config.primes):
         for a in config.exponents(p):
@@ -201,22 +172,11 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
                 cells += 1
                 m = pa * n
                 ora = nu_fibonomial_oracle(p, m, n, config.tier).value
-                val: int | None
-                try:
-                    cval, trace = nu_central(p, a, n)
-                    val = cval.value
-                    hit(trace)
-                    branch = trace.branch_label
-                except FormulaIntegrityError:
-                    val, branch = None, INTEGRITY_BRANCH
-                if val != ora:
-                    mismatches.append(Mismatch(p, a, n, val, ora, branch, m, n, "central"))
-                if config.consistency:
-                    _consistency_checks(p, a, n, m, ora, hit, mismatches)
+                compare(nu_central, (p, a, n), ora, p, a, n, m, n, "central")
+                _consistency_checks(p, a, n, m, ora, compare)
 
-    if config.coverage_sweep:
-        cells += _general_sweep(config, hit, mismatches)
-        cells += _ratio_sweep(config, hit, mismatches)
+    cells += _general_sweep(config, compare)
+    cells += _ratio_sweep(config, compare)
 
     mismatches.sort(key=lambda x: (x.n if x.n is not None else -1,
                                    x.a if x.a is not None else -1,
@@ -226,30 +186,19 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
     return report
 
 
-def _consistency_checks(p, a, n, m, ora, hit, mismatches) -> None:
-    try:
-        gval, gtrace = nu_fibonomial_formula(p, m, n)
-        hit(gtrace)
-        gv, gbranch = gval.value, gtrace.branch_label
-    except FormulaIntegrityError:
-        gv, gbranch = None, INTEGRITY_BRANCH
-    if gv != ora:
-        mismatches.append(Mismatch(p, a, n, gv, ora, gbranch, m, n, "general"))
+def _consistency_checks(p, a, n, m, ora, compare) -> None:
+    """Re-derive the central cell (m, n) = (p^a*n, n) through the general
+    formula and, when p divides n, through the ratio formula."""
+    compare(nu_fibonomial_formula, (p, m, n), ora, p, a, n, m, n, "general")
     if p != 5:
         b = _nu_int(p, n)
         if b >= 1:
             ell = n // p**b
-            try:
-                rval, rtrace = nu_ratio_prime_powers(p, ell, a + b, ell, b)
-                hit(rtrace)
-                rv, rbranch = rval.value, rtrace.branch_label
-            except FormulaIntegrityError:
-                rv, rbranch = None, INTEGRITY_BRANCH
-            if rv != ora:
-                mismatches.append(Mismatch(p, a, n, rv, ora, rbranch, m, n, "ratio"))
+            compare(nu_ratio_prime_powers, (p, ell, a + b, ell, b), ora,
+                    p, a, n, m, n, "ratio")
 
 
-def _general_sweep(config: VerifyConfig, hit, mismatches) -> int:
+def _general_sweep(config: VerifyConfig, compare) -> int:
     """Small full (m, k) grids; reaches the general-table rows (for example
     odd-residue exceptional pairs) that central indices m = p^a*n avoid."""
     cells = 0
@@ -259,19 +208,12 @@ def _general_sweep(config: VerifyConfig, hit, mismatches) -> int:
             for k in range(1, m):
                 cells += 1
                 ora = nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
-                try:
-                    gval, gtrace = nu_fibonomial_formula(p, m, k)
-                    gv, gbranch = gval.value, gtrace.branch_label
-                    hit(gtrace)
-                except FormulaIntegrityError:
-                    gv, gbranch = None, INTEGRITY_BRANCH
-                if gv != ora:
-                    mismatches.append(Mismatch(p, None, None, gv, ora, gbranch, m, k,
-                                               "general_sweep"))
+                compare(nu_fibonomial_formula, (p, m, k), ora,
+                        p, None, None, m, k, "general_sweep")
     return cells
 
 
-def _ratio_sweep(config: VerifyConfig, hit, mismatches) -> int:
+def _ratio_sweep(config: VerifyConfig, compare) -> int:
     """Deterministic cofactor/exponent grid for the ratio formula; the
     central grid only ever produces equal cofactors, so rows keyed on
     distinct residues are reachable only from here."""
@@ -292,13 +234,6 @@ def _ratio_sweep(config: VerifyConfig, hit, mismatches) -> int:
                     cells += 1
                     m, k = l1 * p**b, l2 * p**a
                     ora = nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
-                    try:
-                        rval, rtrace = nu_ratio_prime_powers(p, l1, b, l2, a)
-                        rv, rbranch = rval.value, rtrace.branch_label
-                        hit(rtrace)
-                    except FormulaIntegrityError:
-                        rv, rbranch = None, INTEGRITY_BRANCH
-                    if rv != ora:
-                        mismatches.append(Mismatch(p, a, None, rv, ora, rbranch, m, k,
-                                                   "ratio_sweep"))
+                    compare(nu_ratio_prime_powers, (p, l1, b, l2, a), ora,
+                            p, a, None, m, k, "ratio_sweep")
     return cells

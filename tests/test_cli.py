@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fibval.formulas as formulas
 from fibval import oracle, rank
-from fibval.cli import main
+from fibval.cli import N_MAX_CAP, main
 
 
 def run(capsys, *argv):
@@ -64,6 +64,22 @@ def test_huge_exponent_is_a_fast_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "cap" in err
+
+
+@pytest.mark.parametrize("n_max", [N_MAX_CAP + 1, 4611686018427387903])
+@pytest.mark.parametrize("argv", [
+    ("scan", "--p", "2", "--a", "1", "--predicate", "divisible"),
+    ("table", "--p", "2", "--a", "1", "--format", "json"),
+])
+def test_n_max_beyond_the_row_cap_is_a_fast_usage_error(capsys, argv, n_max):
+    # n_max = 2^62 - 1 passes the 2^63 index check; without the row cap,
+    # table buffered rows without end and printed nothing
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--n-max", str(n_max))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"cap {N_MAX_CAP}" in err
 
 
 def test_eval_modular_tier_for_large_index(capsys):

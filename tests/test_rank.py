@@ -5,7 +5,7 @@ import time
 import pytest
 
 from fibval import rank
-from fibval.rank import Mod5Class, congruence_class_mod5, rank_of_apparition
+from fibval.rank import Mod5Class, rank_of_apparition
 from fibval.arith import fib, fib_mod, is_prime, nu
 
 
@@ -56,11 +56,11 @@ def test_rejects_composite():
 
 
 def test_congruence_class_examples():
-    assert congruence_class_mod5(11) is Mod5Class.PLUS_MINUS_1
-    assert congruence_class_mod5(3) is Mod5Class.PLUS_MINUS_2
-    assert congruence_class_mod5(5) is Mod5Class.IS_5
-    assert congruence_class_mod5(2) is Mod5Class.PLUS_MINUS_2
-    assert congruence_class_mod5(19) is Mod5Class.PLUS_MINUS_1
+    assert rank_of_apparition(11).mod5 is Mod5Class.PLUS_MINUS_1
+    assert rank_of_apparition(3).mod5 is Mod5Class.PLUS_MINUS_2
+    assert rank_of_apparition(5).mod5 is Mod5Class.IS_5
+    assert rank_of_apparition(2).mod5 is Mod5Class.PLUS_MINUS_2
+    assert rank_of_apparition(19).mod5 is Mod5Class.PLUS_MINUS_1
 
 
 def test_side_divisibility_up_to_1e4():

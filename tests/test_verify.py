@@ -43,6 +43,33 @@ def test_expected_labels_scoping():
     assert not any("a even" in lab for lab in odd_only)
 
 
+ACCEPTANCE_GRID = VerifyConfig(primes=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), a_max=4,
+                               n_max=10**5, index_cap=10**5)
+
+
+@pytest.mark.parametrize("config, expected", [
+    # the acceptance grid reaches every declared label
+    (ACCEPTANCE_GRID, all_qualified_labels()),
+    # n_limit(3, 1) = 3 < z(3) = 4: no central pm2 a-odd row, only sweep rows
+    (VerifyConfig(primes=(3,), a_max=1, n_max=50, index_cap=10),
+     ("Tp_general_mk:r>=s", "Tp_general_mk:r<s", "Tratio:pm2 r=s or l2=0",
+      "Tratio:pm2 l1=0", "Tratio:pm2 a odd r>s", "Tratio:pm2 a odd r<s")),
+    # a_max = 1: every label but the five even-exponent ones
+    (small_config(a_max=1),
+     tuple(lab for lab in all_qualified_labels()
+           if lab not in ("Tratio:pm2 a even r>s", "Tratio:pm2 a even r<s",
+                          "C2adic:a even, n%6 in {3,5}", "C2adic:a even, n%6 in {0,1,2,4}",
+                          "Cp:pm2 a even"))),
+])
+def test_expected_labels_exact_sets(config, expected):
+    # exact sets, in declaration order (the order of branch_coverage keys)
+    assert expected_labels(config) == expected
+
+
+def test_acceptance_grid_expects_all_35_labels():
+    assert len(set(expected_labels(ACCEPTANCE_GRID))) == 35
+
+
 def test_report_json_shape(small_report):
     doc = json.loads(small_report.to_json())
     assert list(doc) == ["grid", "cells_checked", "mismatches", "branch_coverage",
