@@ -14,11 +14,8 @@ from .arith import (
     fib,
     fib_mod,
     is_prime,
-    nu,
-    nu_factorial,
 )
 from .formulas import (
-    BRANCH_LABELS,
     INDEX_CAP,
     BranchTrace,
     DivReason,
@@ -41,7 +38,6 @@ from .verify import VerifyConfig, VerifyReport, run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRANCH_LABELS",
     "BranchTrace",
     "DivReason",
     "FormulaIntegrityError",
@@ -63,11 +59,9 @@ __all__ = [
     "is_odd_4n",
     "is_odd_8n",
     "is_prime",
-    "nu",
     "nu2_central",
     "nu5_central",
     "nu_central",
-    "nu_factorial",
     "nu_fibonomial_formula",
     "nu_fibonomial_oracle",
     "nu_ratio_prime_powers",

@@ -102,16 +102,8 @@ def fib_mod(m: int, modulus: int) -> int:
     return a
 
 
-def nu(p: int, x: int) -> Valuation:
-    """Largest e with p^e | x.  Rejects x = 0 (the valuation is infinite
-    there, and no caller should ever reach it with 0)."""
-    if x == 0:
-        raise ValueError("valuation of 0 requested; upstream invariant broken")
-    require_prime(p)
-    return Valuation(_nu_int(p, x), Method.FORMULA)
-
-
 def _nu_int(p: int, x: int) -> int:
+    # x != 0 assumed: nu_p(0) is infinite, and the loop below never ends on it
     if x < 0:
         x = -x
     e = 0
@@ -136,20 +128,8 @@ def digit_sum(q: int, n: int) -> int:
     return s
 
 
-def nu_factorial(p: int, n: int) -> Valuation:
-    """nu_p(n!) = (n - s_p(n)) / (p - 1), checked to divide exactly.
-
-    The equivalent partial-sum form sum_{k>=1} floor(n/p^k) is kept as an
-    independent oracle in the test suite, not recomputed here.
-    """
-    require_prime(p)
-    if n < 0:
-        raise ValueError(f"factorial argument must be >= 0, got {n}")
-    return Valuation(_nu_factorial_int(p, n), Method.FORMULA)
-
-
 def _nu_factorial_int(p: int, n: int) -> int:
-    # hot-path variant without Valuation wrapping; p prime, n >= 0 assumed
+    # p prime, n >= 0 assumed
     num = n - digit_sum(p, n)
     if num % (p - 1):
         raise FormulaIntegrityError(f"(n - s_p(n)) not divisible by p-1 for p={p}, n={n}")

@@ -129,12 +129,6 @@ BRANCH_REACH: tuple[tuple[Theorem, str, str, int, int | str | None], ...] = (
     (Theorem.CP, "pm2 a odd r>s", "pm2", 1, AT_RANK),
 )
 
-#: Every branch label, keyed by theorem; the verify harness requires each
-#: label in reach to fire at least once.
-BRANCH_LABELS: dict[Theorem, tuple[str, ...]] = {
-    theorem: tuple(row[1] for row in BRANCH_REACH if row[0] is theorem) for theorem in Theorem}
-
-
 def qualified_label(theorem: Theorem, label: str) -> str:
     return f"{theorem.value}:{label}"
 
@@ -405,22 +399,18 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     return Valuation(value, Method.FORMULA), trace
 
 
-def nu5_central(a: int, n: int) -> Valuation:
+def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     """nu_5 of the (5^a*n, n) Fibonomial: s_5((5^a-1)*n) / 4, always >= 1."""
-    ssum = digit_sum(5, check_index(5, a, n) - n)
+    A = check_index(5, a, n) - n
+    ssum = digit_sum(5, A)
     if ssum % 4:
         raise FormulaIntegrityError(f"s_5((5^a-1)n) = {ssum} not divisible by 4 at (a={a}, n={n})")
     value = ssum // 4
     if value < 1:
         raise FormulaIntegrityError(f"5-adic central valuation must be >= 1, got {value}")
-    return Valuation(value, Method.FORMULA)
-
-
-def _nu5_central_traced(a: int, n: int) -> tuple[Valuation, BranchTrace]:
-    val = nu5_central(a, n)
     trace = BranchTrace(Theorem.C5ADIC, "s5 digit sum", modulus=5,
-                        r=0, s=n % 5, A=(5**a - 1) * n, z=5, nu_fz=1, b=_nu_int(5, n))
-    return val, trace
+                        r=0, s=n % 5, A=A, z=5, nu_fz=1, b=_nu_int(5, n))
+    return Valuation(value, Method.FORMULA), trace
 
 
 def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
@@ -490,7 +480,7 @@ def nu_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
     if p == 2:
         return nu2_central(a, n)
     if p == 5:
-        return _nu5_central_traced(a, n)
+        return nu5_central(a, n)
     return nup_central(p, a, n)
 
 

@@ -2,8 +2,10 @@
 
 Two deliberately naive, mutually independent routes:
 
-* tier A ("exact"): build the Fibonomial coefficient as a big integer from
-  the defining product and count prime factors directly;
+* tier A ("exact"): build the Fibonomial coefficient as a big integer, the
+  quotient F_(m-k+1)...F_m / (F_1...F_k) with k = min(k, m - k), and count
+  prime factors directly.  It keeps no state between calls; its index cap
+  bounds the time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -61,26 +63,12 @@ def exact_cap() -> int:
     return cap
 
 
-# Prefix products prod_{i<=j} F_i, grown on demand.  _fib_products[j] is the
-# product over i = 1..j (index 0 holds the empty product 1).
-_fib_products: list[int] = [1]
-_products_lock = threading.Lock()
-
-
-def _product_prefix(j: int) -> int:
-    if j >= len(_fib_products):
-        with _products_lock:
-            while len(_fib_products) <= j:
-                i = len(_fib_products)
-                _fib_products.append(_fib_products[-1] * fib(i))
-    return _fib_products[j]
-
-
 def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     """The Fibonomial coefficient as an exact integer.
 
-    The quotient of Fibonacci prefix products is asserted to divide
-    exactly, witnessing integrality on every call.
+    With k = min(k, m - k), F_(m-k+1)...F_m is divided by F_1...F_k; both
+    products step a Fibonacci pair by addition, and the division is
+    asserted exact, witnessing integrality on every call.
     """
     if cap is None:
         cap = exact_cap()
@@ -88,8 +76,15 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
         raise ValueError(f"need 0 <= k <= m, got m={m}, k={k}")
     if m > cap:
         raise ValueError(f"exact tier capped at m <= {cap}, got m={m}")
-    num = _product_prefix(m)
-    den = _product_prefix(k) * _product_prefix(m - k)
+    k = min(k, m - k)
+    num = den = 1
+    top, top_next = fib(m - k), fib(m - k + 1)
+    low, low_next = 0, 1
+    for _ in range(k):
+        top, top_next = top_next, top + top_next
+        low, low_next = low_next, low + low_next
+        num *= top
+        den *= low
     q, r = divmod(num, den)
     if r:
         raise FormulaIntegrityError(f"Fibonomial product not an integer at (m={m}, k={k})")
@@ -181,7 +176,5 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
 
 
 def clear_caches() -> None:
-    with _products_lock:
-        del _fib_products[1:]
     with _sums_lock:
         _val_sums.clear()

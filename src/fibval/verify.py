@@ -43,6 +43,12 @@ class VerifyConfig:
     index_cap: int = 10**5
     tier: OracleTier = OracleTier.MODULAR
 
+    def __post_init__(self) -> None:
+        for name in ("a_max", "n_max", "index_cap"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"VerifyConfig.{name} must be >= 1, got {value}")
+
     def n_limit(self, p: int, a: int) -> int:
         return min(self.n_max, self.index_cap // p**a)
 

@@ -107,7 +107,7 @@ def test_criterion_6_5adic_binomial_reduction():
     for a in range(1, 5):
         big_factor = 5**a
         for n in range(1, 10**4 + 1):
-            value = nu5_central(a, n).value
+            value = nu5_central(a, n)[0].value
             big = big_factor * n
             if value < 1 or value != legendre(big) - legendre(n) - legendre(big - n):
                 bad += 1

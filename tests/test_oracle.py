@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,8 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def fibonomial_by_definition(m: int, k: int) -> int:
-    # direct product quotient, independent of the prefix-product cache
+    # the defining quotient, with fib called at every index rather than
+    # stepping a Fibonacci pair as fibonomial_exact does
     num = den = 1
     for i in range(m - k + 1, m + 1):
         num *= fib(i)
@@ -47,6 +50,26 @@ def test_exact_matches_definition_small_grid():
 def test_exact_symmetry(m, data):
     k = data.draw(st.integers(min_value=0, max_value=m))
     assert fibonomial_exact(m, k) == fibonomial_exact(m, m - k)
+
+
+def test_exact_peak_memory_stays_small():
+    # the quotient is built afresh each call: no product table grows with m
+    tracemalloc.start()
+    try:
+        value = fibonomial_exact(1200, 600, cap=1200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert value == fibonomial_by_definition(1200, 600)
+
+
+def test_exact_non_integral_quotient_raises(monkeypatch):
+    # a wrong seed F_11 = 90 carries into every stepped factor F_12..F_20,
+    # and the quotient by F_1...F_10 is then not an integer
+    monkeypatch.setattr(oracle, "fib", lambda i: 90 if i == 11 else fib(i))
+    with pytest.raises(FormulaIntegrityError, match="not an integer"):
+        fibonomial_exact(20, 10)
 
 
 def test_exact_cap_enforced():

@@ -6,7 +6,7 @@ import pytest
 
 from fibval import rank
 from fibval.rank import Mod5Class, rank_of_apparition
-from fibval.arith import fib, fib_mod, is_prime, nu
+from fibval.arith import _nu_int, fib, fib_mod, is_prime
 
 
 def sieve(limit: int) -> list[int]:
@@ -87,7 +87,7 @@ def test_divisibility_iff_rank_divides_index():
 def test_nu_fz_matches_exact_fibonacci():
     for p in sieve(200):
         rec = rank_of_apparition(p)
-        assert rec.nu_fz == nu(p, fib(rec.z)).value
+        assert rec.nu_fz == _nu_int(p, fib(rec.z))
 
 
 def test_large_primes_rank():

@@ -95,6 +95,13 @@ def test_exact_tier_beyond_cap_rejected():
                                 tier=OracleTier.EXACT))
 
 
+@pytest.mark.parametrize("field", ["a_max", "n_max", "index_cap"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_a_bound_below_one(field, value):
+    with pytest.raises(ValueError, match=f"VerifyConfig.{field} must be >= 1"):
+        small_config(**{field: value})
+
+
 def test_composite_prime_rejected():
     with pytest.raises(ValueError):
         run_verify(small_config(primes=(2, 4)))
