@@ -8,7 +8,6 @@ scanners.  See the CLI (``fibval``) for the command-line surface.
 
 from .arith import (
     FormulaIntegrityError,
-    Method,
     Valuation,
     digit_sum,
     fib,
@@ -42,7 +41,6 @@ __all__ = [
     "DivReason",
     "FormulaIntegrityError",
     "INDEX_CAP",
-    "Method",
     "Mod5Class",
     "OracleTier",
     "RankRecord",

@@ -8,7 +8,6 @@ over a common denominator, with the final division checked to be exact.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 
@@ -18,17 +17,11 @@ class FormulaIntegrityError(RuntimeError):
     its hard cap.  Any occurrence is a bug, never a data error."""
 
 
-class Method(Enum):
-    FORMULA = "formula"
-    ORACLE_EXACT = "oracle_exact"
-    ORACLE_MODULAR = "oracle_modular"
-
-
 class Valuation(NamedTuple):
-    """A nonnegative prime exponent plus how it was obtained."""
+    """Just a nonnegative prime exponent.  It stays a record, not a bare int,
+    because perfbench/workloads.py reads ``.value`` from formula and oracle results."""
 
     value: int
-    method: Method = Method.FORMULA
 
 
 # Deterministic Miller-Rabin witness set for n < 2^64.

@@ -23,12 +23,11 @@ lengths before it builds p**a and returns the index for reuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .arith import (
     FormulaIntegrityError,
-    Method,
     Valuation,
     _nu_factorial_int,
     _nu_int,
@@ -51,8 +50,7 @@ class Theorem(Enum):
     CP = "Cp"
 
 
-@dataclass(frozen=True, slots=True)
-class BranchTrace:
+class BranchTrace(NamedTuple):
     """Which formula case fired, plus its intermediates.
 
     ``r`` and ``s`` are residues of the two Fibonomial indices modulo
@@ -174,7 +172,7 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
     if k == 0 or k == m:
         theorem = Theorem.T2ADIC_GENERAL if p == 2 else (
             Theorem.T5ADIC if p == 5 else Theorem.TP_GENERAL_MK)
-        return Valuation(0, Method.FORMULA), BranchTrace(theorem, BOUNDARY_LABEL)
+        return Valuation(0), BranchTrace(theorem, BOUNDARY_LABEL)
     if p == 2:
         return _nu2_general(m, k)
     if p == 5:
@@ -207,14 +205,14 @@ def _nu2_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
         raise FormulaIntegrityError(f"negative valuation at (p=2, m={m}, k={k})")
     trace = BranchTrace(Theorem.T2ADIC_GENERAL, label, modulus=6, r=r, s=s, A=a2,
                         z=3, nu_fz=1)
-    return Valuation(value, Method.FORMULA), trace
+    return Valuation(value), trace
 
 
 def _nu5_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     # 5-adically the Fibonomial and the ordinary binomial agree.
     value = _binom_val(5, m, k)
     trace = BranchTrace(Theorem.T5ADIC, "binomial", modulus=5, z=5, nu_fz=1)
-    return Valuation(value, Method.FORMULA), trace
+    return Valuation(value), trace
 
 
 def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrace]:
@@ -229,7 +227,7 @@ def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrac
         label = "r>=s"
     trace = BranchTrace(Theorem.TP_GENERAL_MK, label, modulus=z, r=r, s=s,
                         z=z, nu_fz=rec.nu_fz, m_prime=mp, k_prime=kp)
-    return Valuation(value, Method.FORMULA), trace
+    return Valuation(value), trace
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +294,7 @@ def _nu2_ratio(l1: int, b: int, l2: int, a: int) -> tuple[Valuation, BranchTrace
     trace = BranchTrace(Theorem.TRATIO, label, modulus=3,
                         r=l1 * pow(2, b, 3) % 3, s=l2 * pow(2, a, 3) % 3,
                         z=3, nu_fz=1, m_prime=m2, k_prime=k2)
-    return Valuation(value, Method.FORMULA), trace
+    return Valuation(value), trace
 
 
 def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
@@ -336,7 +334,7 @@ def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
         raise FormulaIntegrityError(f"negative ratio valuation at ({p}, {l1}, {b}, {l2}, {a})")
     trace = BranchTrace(Theorem.TRATIO, label, modulus=z, r=r, s=s,
                         z=z, nu_fz=rec.nu_fz, m_prime=mp, k_prime=kp)
-    return Valuation(value, Method.FORMULA), trace
+    return Valuation(value), trace
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +394,7 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
         raise FormulaIntegrityError(f"negative valuation at (p=2, a={a}, n={n})")
     trace = BranchTrace(Theorem.C2ADIC, label, modulus=6, r=index % 6, s=res6,
                         A=A, delta=delta, epsilon=eps, z=3, nu_fz=1, b=b)
-    return Valuation(value, Method.FORMULA), trace
+    return Valuation(value), trace
 
 
 def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
@@ -410,7 +408,7 @@ def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
         raise FormulaIntegrityError(f"5-adic central valuation must be >= 1, got {value}")
     trace = BranchTrace(Theorem.C5ADIC, "s5 digit sum", modulus=5,
                         r=0, s=n % 5, A=A, z=5, nu_fz=1, b=_nu_int(5, n))
-    return Valuation(value, Method.FORMULA), trace
+    return Valuation(value), trace
 
 
 def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
@@ -472,7 +470,7 @@ def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
         raise FormulaIntegrityError(f"negative valuation at (p={p}, a={a}, n={n})")
     trace = BranchTrace(Theorem.CP, label, modulus=z, r=r, s=s, A=A, delta=delta,
                         z=z, nu_fz=nu_fz, b=b)
-    return Valuation(value, Method.FORMULA), trace
+    return Valuation(value), trace
 
 
 def nu_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
@@ -489,8 +487,6 @@ def nu_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
 
 def is_odd_2n(n: int) -> bool:
     """True iff the (2n, n) Fibonomial is odd; holds only at n = 1."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     odd = nu2_central(1, n)[0].value == 0
     if odd != (n == 1):
         raise FormulaIntegrityError(f"(2n, n) oddness disagrees with n == 1 at n={n}")
@@ -499,8 +495,6 @@ def is_odd_2n(n: int) -> bool:
 
 def is_odd_4n(n: int) -> bool:
     """True iff the (4n, n) Fibonomial is odd, i.e. iff n is a power of 2."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     odd = nu2_central(2, n)[0].value == 0
     if odd != (n & (n - 1) == 0):
         raise FormulaIntegrityError(f"(4n, n) oddness disagrees with the bit pattern at n={n}")
@@ -521,8 +515,6 @@ def _is_8n_exception(n: int) -> bool:
 def is_odd_8n(n: int) -> bool:
     """True iff the (8n, n) Fibonomial is odd, i.e. iff 7n-1 = 3*2^k with
     k = 1 (mod 3)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     odd = nu2_central(3, n)[0].value == 0
     if odd != _is_8n_exception(n):
         raise FormulaIntegrityError(f"(8n, n) oddness disagrees with the arithmetic test at n={n}")

@@ -35,7 +35,7 @@ import threading
 from array import array
 from enum import Enum
 
-from .arith import FormulaIntegrityError, Method, Valuation, _nu_int, fib, fib_mod, require_prime
+from .arith import FormulaIntegrityError, Valuation, _nu_int, fib, fib_mod, require_prime
 
 EXACT_CAP_DEFAULT = 400
 EXACT_CAP_ENV = "FIBVAL_EXACT_CAP"
@@ -164,7 +164,7 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={m}, k={k}")
     if tier is OracleTier.EXACT:
-        return Valuation(_nu_int(p, fibonomial_exact(m, k, cap=cap)), Method.ORACLE_EXACT)
+        return Valuation(_nu_int(p, fibonomial_exact(m, k, cap=cap)))
     if m > MODULAR_CAP:
         raise ValueError(f"modular tier capped at m <= {MODULAR_CAP}, got m={m}")
     sums = _valuation_prefix(p, m)
@@ -172,7 +172,7 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if total < 0:
         raise FormulaIntegrityError(
             f"negative valuation sum at (p={p}, m={m}, k={k}); integrality violated")
-    return Valuation(total, Method.ORACLE_MODULAR)
+    return Valuation(total)
 
 
 def clear_caches() -> None:

@@ -29,7 +29,7 @@ from .formulas import (
     nu_ratio_prime_powers,
     qualified_label,
 )
-from .oracle import OracleTier, exact_cap, nu_fibonomial_oracle
+from .oracle import MODULAR_CAP, OracleTier, exact_cap, nu_fibonomial_oracle
 from .rank import rank_of_apparition
 
 INTEGRITY_BRANCH = "integrity-error"
@@ -72,9 +72,6 @@ class Mismatch:
     k: int
     check: str
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(slots=True)
 class VerifyReport:
@@ -101,7 +98,7 @@ class VerifyReport:
         doc = {
             "grid": {**asdict(self.config), "tier": self.config.tier.value},
             "cells_checked": self.cells_checked,
-            "mismatches": [m.as_dict() for m in self.mismatches],
+            "mismatches": [asdict(m) for m in self.mismatches],
             "branch_coverage": self.branch_coverage,
             "uncovered": list(self.uncovered),
             "elapsed_seconds": round(self.elapsed_seconds, 3),
@@ -139,17 +136,22 @@ def expected_labels(config: VerifyConfig) -> tuple[str, ...]:
 
 
 def run_verify(config: VerifyConfig) -> VerifyReport:
-    for p in config.primes:
-        rank_of_apparition(p)  # validates primality up front
-    if config.tier is OracleTier.EXACT:
-        top = max((p**a * config.n_limit(p, a)
-                   for p in config.primes for a in config.exponents(p)
-                   if config.n_limit(p, a) >= 1), default=0)
-        cap = exact_cap()
-        if top > cap:
-            raise ValueError(
-                f"exact-tier grid reaches index {top} beyond the cap {cap}; "
-                f"raise FIBVAL_EXACT_CAP or shrink the grid")
+    sweep_top = 0  # the largest index either sweep asks the oracle for
+    for p in config.primes:  # _sweep_bounds reads z(p): this rejects every non-prime
+        m_max, l_max = _sweep_bounds(config, p)
+        sweep_top = max(sweep_top, m_max,
+                        *(min(l_max, config.index_cap // p**b) * p**b for b in (1, 2)))
+    central_top = max((p**a * config.n_limit(p, a)
+                       for p in config.primes for a in config.exponents(p)), default=0)
+    exact = config.tier is OracleTier.EXACT
+    cap = exact_cap() if exact else MODULAR_CAP
+    if central_top > cap:
+        hint = "raise FIBVAL_EXACT_CAP or shrink the grid" if exact else "shrink the grid"
+        raise ValueError(f"{config.tier.value}-tier grid reaches index {central_top} "
+                         f"beyond the cap {cap}; {hint}")
+    if sweep_top > MODULAR_CAP:
+        raise ValueError(f"the sweeps reach index {sweep_top} beyond the modular-tier cap "
+                         f"{MODULAR_CAP}; lower the index cap")
 
     start = time.perf_counter()
     coverage = {lab: 0 for lab in all_qualified_labels()}
@@ -204,13 +206,19 @@ def _consistency_checks(p, a, n, m, ora, compare) -> None:
                     p, a, n, m, n, "ratio")
 
 
+def _sweep_bounds(config: VerifyConfig, p: int) -> tuple[int, int]:
+    """The largest m of the general sweep and the largest cofactor of the
+    ratio sweep at the prime p."""
+    z = rank_of_apparition(p).z
+    return min(2 * (6 if p == 2 else z) + 4, config.index_cap), z + 2
+
+
 def _general_sweep(config: VerifyConfig, compare) -> int:
     """Small full (m, k) grids; reaches the general-table rows (for example
     odd-residue exceptional pairs) that central indices m = p^a*n avoid."""
     cells = 0
     for p in sorted(config.primes):
-        mod = 6 if p == 2 else (5 if p == 5 else rank_of_apparition(p).z)
-        for m in range(2, min(2 * mod + 4, config.index_cap) + 1):
+        for m in range(2, _sweep_bounds(config, p)[0] + 1):
             for k in range(1, m):
                 cells += 1
                 ora = nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
@@ -230,8 +238,7 @@ def _ratio_sweep(config: VerifyConfig, compare) -> int:
     for p in sorted(config.primes):
         if p == 5:
             continue
-        zmod = 3 if p == 2 else rank_of_apparition(p).z
-        top = zmod + 2
+        top = _sweep_bounds(config, p)[1]
         for a, b in exps:
             for l1 in range(1, top + 1):
                 for l2 in range(1, top + 1):

@@ -1,6 +1,9 @@
+import contextlib
 import json
+import os
 import string
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 import fibval.formulas as formulas
 from fibval import oracle, rank
-from fibval.cli import N_MAX_CAP, main
+from fibval.cli import N_MAX_CAP, TABLE_CHUNK, main
 
 
 def run(capsys, *argv):
@@ -52,6 +55,35 @@ def test_eval_central_explain_prints_fields_in_trace_order(capsys):
                    "modulus = 8\nr = 7\ns = 7\nA = 6\nz = 8\nnu_fz = 1\nb = 1\n")
 
 
+GOLDEN_EXPLAIN = {
+    ("--p", "2", "--a", "3", "--n", "6"):
+        "nu (formula) = 3\ntheorem = C2adic\nbranch = a odd, n%6=0\nmodulus = 6\nr = 0\n"
+        "s = 0\nA = 7\ndelta = 0\nepsilon = 0\nz = 3\nnu_fz = 1\nb = 1\n",
+    ("--p", "5", "--a", "2", "--n", "7"):
+        "nu (formula) = 2\ntheorem = C5adic\nbranch = s5 digit sum\nmodulus = 5\nr = 0\n"
+        "s = 2\nA = 168\nz = 5\nnu_fz = 1\nb = 0\n",
+    ("--p", "11", "--a", "1", "--n", "12"):
+        "nu (formula) = 0\ntheorem = Cp\nbranch = pm1\nmodulus = 10\nr = 2\ns = 2\n"
+        "A = 12\nz = 10\nnu_fz = 1\nb = 0\n",
+    ("--p", "2", "--m", "6", "--k", "2"):
+        "nu (formula) = 3\ntheorem = T2adic_general\nbranch = r<s, (0,2)\nmodulus = 6\n"
+        "r = 0\ns = 2\nA = 0\nz = 3\nnu_fz = 1\n",
+    ("--p", "5", "--m", "12", "--k", "3"):
+        "nu (formula) = 1\ntheorem = T5adic\nbranch = binomial\nmodulus = 5\nz = 5\n"
+        "nu_fz = 1\n",
+    ("--p", "7", "--m", "20", "--k", "9"):
+        "nu (formula) = 0\ntheorem = Tp_general_mk\nbranch = r>=s\nmodulus = 8\nr = 4\n"
+        "s = 1\nz = 8\nnu_fz = 1\nm_prime = 2\nk_prime = 1\n",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_EXPLAIN)
+def test_eval_explain_golden(capsys, argv):
+    code, out, _ = run(capsys, "eval", *argv, "--explain")
+    assert code == 0
+    assert out == GOLDEN_EXPLAIN[argv]
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--p", "3", "--a", "1000000000", "--n", "1"),
     ("scan", "--p", "3", "--a", "1000000000", "--n-max", "5", "--predicate", "divisible"),
@@ -87,6 +119,16 @@ def test_eval_modular_tier_for_large_index(capsys):
                        "--method", "oracle")
     assert code == 0
     assert out.startswith("nu (oracle/modular) = ")
+
+
+def test_eval_oracle_beyond_the_modular_cap_is_a_fast_usage_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--p", "3", "--m", "20000000", "--k", "1",
+                         "--method", "oracle")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
 
 
 def test_eval_usage_errors(capsys):
@@ -227,6 +269,33 @@ def test_table_json(capsys):
     assert [row["nu"] for row in rows] == [0, 0]
 
 
+def test_table_json_is_one_dump_across_chunks(capsys):
+    n_max = 2 * TABLE_CHUNK + 1
+    code, out, _ = run(capsys, "table", "--p", "3", "--a", "2", "--n-max", str(n_max),
+                       "--format", "json")
+    assert code == 0
+    rows = []
+    for n in range(1, n_max + 1):
+        val, trace = formulas.nu_central(3, 2, n)
+        rows.append({"p": 3, "a": 2, "n": n, "nu": val.value, "branch": trace.branch_label})
+    assert out == json.dumps(rows, indent=2) + "\n"
+
+
+def test_table_streams_its_rows():
+    # at 5000 rows, holding every row and then the whole string peaks near 6 MiB
+    argv = ["table", "--p", "2", "--a", "1", "--format", "json", "--n-max"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(argv + ["1"])  # warm the rank cache
+        tracemalloc.start()
+        try:
+            code = main(argv + ["5000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
+
+
 def test_table_bad_format(capsys):
     assert run(capsys, "table", "--p", "2", "--a", "1", "--n-max", "3",
                "--format", "xml")[0] == 2
@@ -283,6 +352,21 @@ def test_verify_exact_tier_beyond_cap(capsys):
                        "--n-max", "50", "--tier", "exact")
     assert code == 2
     assert "FIBVAL_EXACT_CAP" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the central grid reaches 2 * 5000001, past the modular cap
+    ("--p-set", "2", "--a-max", "1", "--n-max", "5000001", "--index-cap", "10000002"),
+    # the ratio sweep reaches 226 * 223^2, past the modular cap
+    ("--p-set", "223", "--a-max", "1", "--n-max", "10", "--index-cap", "20000000"),
+])
+def test_verify_beyond_the_modular_cap_is_a_fast_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
 
 
 def test_verify_exact_tier_with_raised_cap(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from fibval.arith import FormulaIntegrityError, _nu_factorial_int
 from fibval.formulas import (
     BOUNDARY_LABEL,
     INDEX_CAP,
+    BranchTrace,
     DivReason,
     Theorem,
     check_index,
@@ -309,6 +310,13 @@ def test_is_odd_8n_examples():
     assert not is_odd_8n(2)
 
 
+@pytest.mark.parametrize("is_odd", [is_odd_2n, is_odd_4n, is_odd_8n])
+@pytest.mark.parametrize("n", [0, -1])
+def test_oddness_rejects_n_below_one(is_odd, n):
+    with pytest.raises(ValueError):
+        is_odd(n)
+
+
 def test_oddness_sets_to_2e4():
     limit = 2 * 10**4
     assert [n for n in range(1, limit) if is_odd_2n(n)] == [1]
@@ -415,3 +423,40 @@ def test_warm_evaluation_makes_no_primality_test(name, monkeypatch):
     assert GATED[name](p, 2, 7) == expected
     assert calls == []
 
+
+
+# --- branch traces ----------------------------------------------------------
+
+TRACE_FIELDS = ("theorem", "branch_label", "modulus", "r", "s", "A", "delta", "epsilon",
+                "z", "nu_fz", "b", "m_prime", "k_prime")
+
+# One cell per theorem: (entry, args, value, every trace field in order).
+GOLDEN_TRACES = [
+    (nu_fibonomial_formula, (2, 6, 2), 3,
+     (Theorem.T2ADIC_GENERAL, "r<s", 6, 0, 2, 0, None, None, 3, 1, None, None, None)),
+    (nu_fibonomial_formula, (5, 12, 3), 1,
+     (Theorem.T5ADIC, "binomial", 5, None, None, None, None, None, 5, 1, None, None, None)),
+    (nu_fibonomial_formula, (7, 20, 9), 0,
+     (Theorem.TP_GENERAL_MK, "r>=s", 8, 4, 1, None, None, None, 8, 1, None, 2, 1)),
+    (nu_ratio_prime_powers, (3, 2, 1, 1, 1), 1,
+     (Theorem.TRATIO, "pm2 a odd r<s", 4, 2, 3, None, None, None, 4, 1, None, 0, 0)),
+    (nu2_central, (3, 6), 3,
+     (Theorem.C2ADIC, "a odd, n%6=0", 6, 0, 0, 7, 0, 0, 3, 1, 1, None, None)),
+    (nu5_central, (2, 7), 2,
+     (Theorem.C5ADIC, "s5 digit sum", 5, 0, 2, 168, None, None, 5, 1, 0, None, None)),
+    (nup_central, (11, 1, 12), 0,
+     (Theorem.CP, "pm1", 10, 2, 2, 12, None, None, 10, 1, 0, None, None)),
+]
+
+
+def test_trace_field_order():
+    assert BranchTrace._fields == TRACE_FIELDS
+
+
+@pytest.mark.parametrize("fn, args, value, fields", GOLDEN_TRACES,
+                         ids=[row[3][0].value for row in GOLDEN_TRACES])
+def test_golden_trace_fields(fn, args, value, fields):
+    val, trace = fn(*args)
+    assert val.value == value
+    assert tuple(trace) == fields
+    assert trace == BranchTrace(*fields)

@@ -154,7 +154,7 @@ def test_mismatch_rows_sorted_and_serializable(monkeypatch):
     monkeypatch.setitem(formulas.DELTA2_ODD_A_CONST, 5, 1)
     report = run_verify(VerifyConfig(primes=(2,), a_max=1, n_max=40, index_cap=10**4))
     assert report.exit_code == 1
-    rows = [m.as_dict() for m in report.mismatches]
+    rows = json.loads(report.to_json())["mismatches"]
     ns = [r["n"] for r in rows if r["n"] is not None]
     assert ns == sorted(ns)
     assert list(rows[0]) == ["p", "a", "n", "formula", "oracle", "branch", "m", "k", "check"]
