@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 from .arith import FormulaIntegrityError, _nu_int
@@ -33,6 +34,7 @@ from .oracle import MODULAR_CAP, OracleTier, exact_cap, nu_fibonomial_oracle
 from .rank import rank_of_apparition
 
 INTEGRITY_BRANCH = "integrity-error"
+SWEEP_CELL_CAP = 10**6  # most cells both sweeps may ask for; the acceptance grid asks for 11,299
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,10 +139,12 @@ def expected_labels(config: VerifyConfig) -> tuple[str, ...]:
 
 def run_verify(config: VerifyConfig) -> VerifyReport:
     sweep_top = 0  # the largest index either sweep asks the oracle for
+    sweep_cells = 0  # the cells both sweeps ask for; here those of the general sweep
     for p in config.primes:  # _sweep_bounds reads z(p): this rejects every non-prime
         m_max, l_max = _sweep_bounds(config, p)
         sweep_top = max(sweep_top, m_max,
                         *(min(l_max, config.index_cap // p**b) * p**b for b in (1, 2)))
+        sweep_cells += m_max * (m_max - 1) // 2
     central_top = max((p**a * config.n_limit(p, a)
                        for p in config.primes for a in config.exponents(p)), default=0)
     exact = config.tier is OracleTier.EXACT
@@ -152,6 +156,11 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
     if sweep_top > MODULAR_CAP:
         raise ValueError(f"the sweeps reach index {sweep_top} beyond the modular-tier cap "
                          f"{MODULAR_CAP}; lower the index cap")
+    # counted only now: with sweep_top capped, a prime has at most about 3*sqrt(MODULAR_CAP) rows
+    sweep_cells += sum(l2_top for p in config.primes for *_, l2_top in _ratio_rows(config, p))
+    if sweep_cells > SWEEP_CELL_CAP:
+        raise ValueError(f"the sweeps ask for {sweep_cells} cells, more than the cap "
+                         f"{SWEEP_CELL_CAP}; lower the index cap or leave out the large primes")
 
     start = time.perf_counter()
     coverage = {lab: 0 for lab in all_qualified_labels()}
@@ -227,26 +236,34 @@ def _general_sweep(config: VerifyConfig, compare) -> int:
     return cells
 
 
+def _ratio_rows(config: VerifyConfig, p: int) -> Iterator[tuple[int, int, int, int]]:
+    """The rows (a, b, l1, l2_top) of the ratio sweep at the prime p: each
+    cofactor l2 from 1 to l2_top gives one cell (m, k) = (l1*p^b, l2*p^a)
+    with k < m <= index_cap.  p = 5 has no ratio formula and no rows."""
+    if p == 5:
+        return
+    top = _sweep_bounds(config, p)[1]
+    exps = [(1, 1), (1, 2)]
+    if config.a_max >= 2:
+        exps.append((2, 2))
+    for a, b in exps:
+        pa, pb = p**a, p**b
+        for l1 in range(1, min(top, config.index_cap // pb) + 1):
+            yield a, b, l1, min(top, (l1 * pb - 1) // pa)
+
+
 def _ratio_sweep(config: VerifyConfig, compare) -> int:
     """Deterministic cofactor/exponent grid for the ratio formula; the
     central grid only ever produces equal cofactors, so rows keyed on
     distinct residues are reachable only from here."""
     cells = 0
-    exps = [(1, 1), (1, 2)]
-    if config.a_max >= 2:
-        exps.append((2, 2))
     for p in sorted(config.primes):
-        if p == 5:
-            continue
-        top = _sweep_bounds(config, p)[1]
-        for a, b in exps:
-            for l1 in range(1, top + 1):
-                for l2 in range(1, top + 1):
-                    if l1 * p**b <= l2 * p**a or l1 * p**b > config.index_cap:
-                        continue
-                    cells += 1
-                    m, k = l1 * p**b, l2 * p**a
-                    ora = nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
-                    compare(nu_ratio_prime_powers, (p, l1, b, l2, a), ora,
-                            p, a, None, m, k, "ratio_sweep")
+        for a, b, l1, l2_top in _ratio_rows(config, p):
+            m = l1 * p**b
+            for l2 in range(1, l2_top + 1):
+                cells += 1
+                k = l2 * p**a
+                ora = nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
+                compare(nu_ratio_prime_powers, (p, l1, b, l2, a), ora,
+                        p, a, None, m, k, "ratio_sweep")
     return cells

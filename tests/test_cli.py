@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import fibval.formulas as formulas
 from fibval import oracle, rank
-from fibval.cli import N_MAX_CAP, TABLE_CHUNK, main
+from fibval.cli import N_MAX_CAP, build_parser, main
+from fibval.verify import SWEEP_CELL_CAP
 
 
 def run(capsys, *argv):
@@ -125,6 +126,17 @@ def test_eval_oracle_beyond_the_modular_cap_is_a_fast_usage_error(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "eval", "--p", "3", "--m", "20000000", "--k", "1",
                          "--method", "oracle")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
+def test_eval_both_beyond_the_modular_cap_prints_nothing(capsys):
+    # the formula value is known before the oracle rejects the index; it must not be printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--p", "3", "--m", "20000000", "--k", "1",
+                         "--method", "both")
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
@@ -269,15 +281,20 @@ def test_table_json(capsys):
     assert [row["nu"] for row in rows] == [0, 0]
 
 
-def test_table_json_is_one_dump_across_chunks(capsys):
-    n_max = 2 * TABLE_CHUNK + 1
-    code, out, _ = run(capsys, "table", "--p", "3", "--a", "2", "--n-max", str(n_max),
+@pytest.mark.parametrize("p, a, n_max", [
+    pytest.param(3, 2, 513, id="513_rows"),
+    pytest.param(3, 2, 1, id="one_row"),  # no separator
+    # the labels hold "{", "}" and "%", which the row template must pass through
+    pytest.param(2, 2, 12, id="braces_in_labels"),
+])
+def test_table_json_is_one_dump(capsys, p, a, n_max):
+    code, out, _ = run(capsys, "table", "--p", str(p), "--a", str(a), "--n-max", str(n_max),
                        "--format", "json")
     assert code == 0
     rows = []
     for n in range(1, n_max + 1):
-        val, trace = formulas.nu_central(3, 2, n)
-        rows.append({"p": 3, "a": 2, "n": n, "nu": val.value, "branch": trace.branch_label})
+        val, trace = formulas.nu_central(p, a, n)
+        rows.append({"p": p, "a": a, "n": n, "nu": val.value, "branch": trace.branch_label})
     assert out == json.dumps(rows, indent=2) + "\n"
 
 
@@ -369,6 +386,19 @@ def test_verify_beyond_the_modular_cap_is_a_fast_usage_error(capsys, argv):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("p_set", [
+    "999983",  # the general sweep alone asks for about 5e9 cells
+    "10007",  # about 2e8 cells
+])
+def test_verify_beyond_the_sweep_cell_cap_is_a_fast_usage_error(capsys, p_set):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--p-set", p_set, "--a-max", "1", "--n-max", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"cap {SWEEP_CELL_CAP}" in err
+
+
 def test_verify_exact_tier_with_raised_cap(capsys, monkeypatch):
     monkeypatch.setenv("FIBVAL_EXACT_CAP", "650")
     code, out, _ = run(capsys, "verify", "--p-set", "13", "--a-max", "1",
@@ -379,6 +409,21 @@ def test_verify_exact_tier_with_raised_cap(capsys, monkeypatch):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    explain = ("eval", "--p", "2", "--m", "6", "--k", "2")
+    assert run(capsys, *explain, "--explain") == (0, GOLDEN_EXPLAIN[explain[1:]], "")
+    assert run(capsys, *explain) == (0, "nu (formula) = 3\n", "")
+    scan = ("scan", "--p", "2", "--a", "2", "--n-max", "20", "--predicate", "odd_fibonomial")
+    assert run(capsys, *scan, "--format", "json") == (0, "[1, 2, 4, 8, 16]\n", "")
+    assert run(capsys, *scan) == (0, "1\n2\n4\n8\n16\n", "")
+    code, out, err = run(capsys, "table", "--p", "5", "--a", "1", "--n-max", "1", "--format", "xml")
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+    assert run(capsys, "table", "--p", "5", "--a", "1", "--n-max", "1") == (
+        0, "p,a,n,nu,branch\n5,1,1,1,s5 digit sum\n", "")
 
 
 # --- fuzz -------------------------------------------------------------------
