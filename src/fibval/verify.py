@@ -8,6 +8,10 @@ can never reach (e.g. ratio rows with distinct cofactors) still fire; the
 sweeps are checked against the modular oracle.  Every formula call, central
 or swept, is compared with its oracle value in one place.
 
+The pre-flight and the sweeps read the same rows, ``_general_rows`` and
+``_ratio_rows``: before the first cell, a run walks them to reject an index
+past the modular cap or more than ``SWEEP_CELL_CAP`` sweep cells.
+
 Which branches a run must reach is declared beside the labels, in
 ``formulas.BRANCH_REACH``: each label's prime class, least exponent a and
 least central cofactor n.  ``expected_labels`` only filters that table.
@@ -15,6 +19,7 @@ least central cofactor n.  ``expected_labels`` only filters that table.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from collections.abc import Iterator
@@ -46,6 +51,9 @@ class VerifyConfig:
     tier: OracleTier = OracleTier.MODULAR
 
     def __post_init__(self) -> None:
+        if not self.primes or len(set(self.primes)) < len(self.primes):
+            raise ValueError(f"VerifyConfig.primes must be non-empty and distinct, "
+                             f"got {self.primes}")
         for name in ("a_max", "n_max", "index_cap"):
             value = getattr(self, name)
             if value < 1:
@@ -138,13 +146,8 @@ def expected_labels(config: VerifyConfig) -> tuple[str, ...]:
 
 
 def run_verify(config: VerifyConfig) -> VerifyReport:
-    sweep_top = 0  # the largest index either sweep asks the oracle for
-    sweep_cells = 0  # the cells both sweeps ask for; here those of the general sweep
-    for p in config.primes:  # _sweep_bounds reads z(p): this rejects every non-prime
-        m_max, l_max = _sweep_bounds(config, p)
-        sweep_top = max(sweep_top, m_max,
-                        *(min(l_max, config.index_cap // p**b) * p**b for b in (1, 2)))
-        sweep_cells += m_max * (m_max - 1) // 2
+    sweeps = [rows(config, p) for p in config.primes
+              for rows in (_general_rows, _ratio_rows)]  # reads z(p): rejects every non-prime
     central_top = max((p**a * config.n_limit(p, a)
                        for p in config.primes for a in config.exponents(p)), default=0)
     exact = config.tier is OracleTier.EXACT
@@ -153,14 +156,15 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
         hint = "raise FIBVAL_EXACT_CAP or shrink the grid" if exact else "shrink the grid"
         raise ValueError(f"{config.tier.value}-tier grid reaches index {central_top} "
                          f"beyond the cap {cap}; {hint}")
-    if sweep_top > MODULAR_CAP:
-        raise ValueError(f"the sweeps reach index {sweep_top} beyond the modular-tier cap "
-                         f"{MODULAR_CAP}; lower the index cap")
-    # counted only now: with sweep_top capped, a prime has at most about 3*sqrt(MODULAR_CAP) rows
-    sweep_cells += sum(l2_top for p in config.primes for *_, l2_top in _ratio_rows(config, p))
-    if sweep_cells > SWEEP_CELL_CAP:
-        raise ValueError(f"the sweeps ask for {sweep_cells} cells, more than the cap "
-                         f"{SWEEP_CELL_CAP}; lower the index cap or leave out the large primes")
+    sweep_cells = 0  # all rows but one per exponent pair have a cell: the walk stays short
+    for m, ks, *_ in itertools.chain.from_iterable(sweeps):
+        if m > MODULAR_CAP:
+            raise ValueError(f"the sweeps reach index {m} beyond the modular-tier cap "
+                             f"{MODULAR_CAP}; lower the index cap")
+        sweep_cells += len(ks)
+        if sweep_cells > SWEEP_CELL_CAP:
+            raise ValueError(f"the sweeps ask for more than the cap {SWEEP_CELL_CAP} cells; "
+                             "lower the index cap or leave out the large primes")
 
     start = time.perf_counter()
     coverage = {lab: 0 for lab in all_qualified_labels()}
@@ -215,11 +219,11 @@ def _consistency_checks(p, a, n, m, ora, compare) -> None:
                     p, a, n, m, n, "ratio")
 
 
-def _sweep_bounds(config: VerifyConfig, p: int) -> tuple[int, int]:
-    """The largest m of the general sweep and the largest cofactor of the
-    ratio sweep at the prime p."""
-    z = rank_of_apparition(p).z
-    return min(2 * (6 if p == 2 else z) + 4, config.index_cap), z + 2
+def _general_rows(config: VerifyConfig, p: int) -> Iterator[tuple[int, range]]:
+    """The rows (m, ks) of the general sweep at the prime p: one cell (m, k)
+    for each k in ks, with m <= index_cap."""
+    m_top = min(2 * (6 if p == 2 else rank_of_apparition(p).z) + 4, config.index_cap)
+    return ((m, range(1, m)) for m in range(2, m_top + 1))
 
 
 def _general_sweep(config: VerifyConfig, compare) -> int:
@@ -227,29 +231,25 @@ def _general_sweep(config: VerifyConfig, compare) -> int:
     odd-residue exceptional pairs) that central indices m = p^a*n avoid."""
     cells = 0
     for p in sorted(config.primes):
-        for m in range(2, _sweep_bounds(config, p)[0] + 1):
-            for k in range(1, m):
-                cells += 1
+        for m, ks in _general_rows(config, p):
+            cells += len(ks)
+            for k in ks:
                 ora = nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
                 compare(nu_fibonomial_formula, (p, m, k), ora,
                         p, None, None, m, k, "general_sweep")
     return cells
 
 
-def _ratio_rows(config: VerifyConfig, p: int) -> Iterator[tuple[int, int, int, int]]:
-    """The rows (a, b, l1, l2_top) of the ratio sweep at the prime p: each
-    cofactor l2 from 1 to l2_top gives one cell (m, k) = (l1*p^b, l2*p^a)
+def _ratio_rows(config: VerifyConfig, p: int) -> Iterator[tuple[int, range, int, int, int]]:
+    """The rows (m, l2s, a, b, l1) of the ratio sweep at the prime p, with
+    m = l1*p^b: one cell (m, k) = (m, l2*p^a) for each cofactor l2 in l2s,
     with k < m <= index_cap.  p = 5 has no ratio formula and no rows."""
     if p == 5:
-        return
-    top = _sweep_bounds(config, p)[1]
-    exps = [(1, 1), (1, 2)]
-    if config.a_max >= 2:
-        exps.append((2, 2))
-    for a, b in exps:
-        pa, pb = p**a, p**b
-        for l1 in range(1, min(top, config.index_cap // pb) + 1):
-            yield a, b, l1, min(top, (l1 * pb - 1) // pa)
+        return iter(())
+    top = rank_of_apparition(p).z + 2
+    exps = ((1, 1), (1, 2), (2, 2)) if config.a_max >= 2 else ((1, 1), (1, 2))
+    return ((l1 * p**b, range(1, min(top, (l1 * p**b - 1) // p**a) + 1), a, b, l1)
+            for a, b in exps for l1 in range(1, min(top, config.index_cap // p**b) + 1))
 
 
 def _ratio_sweep(config: VerifyConfig, compare) -> int:
@@ -258,10 +258,9 @@ def _ratio_sweep(config: VerifyConfig, compare) -> int:
     distinct residues are reachable only from here."""
     cells = 0
     for p in sorted(config.primes):
-        for a, b, l1, l2_top in _ratio_rows(config, p):
-            m = l1 * p**b
-            for l2 in range(1, l2_top + 1):
-                cells += 1
+        for m, l2s, a, b, l1 in _ratio_rows(config, p):
+            cells += len(l2s)
+            for l2 in l2s:
                 k = l2 * p**a
                 ora = nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
                 compare(nu_ratio_prime_powers, (p, l1, b, l2, a), ora,

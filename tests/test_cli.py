@@ -349,6 +349,18 @@ def test_verify_rejects_composite(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize("p_set, message", [
+    (",", "--p-set is empty"),
+    ("2,2,3", "VerifyConfig.primes"),
+])
+def test_verify_rejects_empty_or_repeated_primes(capsys, p_set, message):
+    code, out, err = run(capsys, "verify", "--p-set", p_set, "--a-max", "2",
+                         "--n-max", "50")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_verify_mutation_fails(capsys, monkeypatch):
     monkeypatch.setitem(formulas.DELTA2_ODD_A_CEIL, 4, (0, 0))
     code, out, _ = run(capsys, "verify", "--p-set", "2", "--a-max", "1",

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import fibval.formulas as formulas
+import fibval.verify as verify
 from fibval.formulas import all_qualified_labels
 from fibval.oracle import OracleTier
 from fibval.verify import VerifyConfig, expected_labels, run_verify
@@ -102,6 +103,12 @@ def test_config_rejects_a_bound_below_one(field, value):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize("primes", [(), (2, 2, 3), (3, 2, 3)])
+def test_config_rejects_empty_or_repeated_primes(primes):
+    with pytest.raises(ValueError, match="VerifyConfig.primes"):
+        small_config(primes=primes)
+
+
 def test_composite_prime_rejected():
     with pytest.raises(ValueError):
         run_verify(small_config(primes=(2, 4)))
@@ -170,3 +177,29 @@ def test_exponents_beyond_the_index_cap_cost_nothing():
     assert huge.expected == small.expected
     assert json.loads(huge.to_json())["grid"]["a_max"] == 10**9
 
+
+def test_sweep_extent_is_pinned():
+    # the acceptance grid's sweeps; n_max = 1 leaves 40 central cells
+    config = VerifyConfig(primes=ACCEPTANCE_GRID.primes, a_max=4, n_max=1, index_cap=10**5)
+    assert verify._general_sweep(config, lambda *args: None) == 5_745
+    assert verify._ratio_sweep(config, lambda *args: None) == 5_554
+    report = run_verify(config)
+    assert report.cells_checked == 11_339
+    assert report.mismatches == []
+
+
+def test_sweep_preflight_bounds_are_exact(monkeypatch):
+    # these sweeps ask for 1,212 cells and reach index 12 * 11^2 = 1,452:
+    # each cap passes at that value and fails one below it
+    config = VerifyConfig(primes=(2, 3, 7, 11), a_max=2, n_max=5, index_cap=10**4)
+    monkeypatch.setattr(verify, "SWEEP_CELL_CAP", 1_212)
+    assert run_verify(config).cells_checked == 1_252  # 40 central cells
+    monkeypatch.setattr(verify, "SWEEP_CELL_CAP", 1_211)
+    with pytest.raises(ValueError, match="cap 1211"):
+        run_verify(config)
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "MODULAR_CAP", 1_452)
+    assert run_verify(config).cells_checked == 1_252
+    monkeypatch.setattr(verify, "MODULAR_CAP", 1_451)
+    with pytest.raises(ValueError, match="modular-tier cap 1451"):
+        run_verify(config)
