@@ -24,6 +24,12 @@ class Valuation(NamedTuple):
     value: int
 
 
+def show_int(x: int) -> str:
+    """x in decimal up to 1024 bits (309 digits, within any int-to-str limit), else by size."""
+    sign = "-" if x < 0 else ""
+    return str(x) if x.bit_length() <= 1024 else f"{sign}<{x.bit_length()}-bit integer>"
+
+
 # Deterministic Miller-Rabin witness set for n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_GUARD = 1 << 64
@@ -32,7 +38,7 @@ _PRIME_GUARD = 1 << 64
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2^64."""
     if n >= _PRIME_GUARD:
-        raise ValueError(f"primality check supports n < 2^64 only, got {n}")
+        raise ValueError(f"primality check supports n < 2^64 only, got {show_int(n)}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -58,13 +64,13 @@ def is_prime(n: int) -> bool:
 
 def require_prime(p: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"expected a prime, got {p}")
+        raise ValueError(f"expected a prime, got {show_int(p)}")
 
 
 def fib(m: int) -> int:
     """F_m by fast doubling (F_1 = F_2 = 1; F_0 = 0 for internal use)."""
     if m < 0:
-        raise ValueError(f"Fibonacci index must be >= 0, got {m}")
+        raise ValueError(f"Fibonacci index must be >= 0, got {show_int(m)}")
     a, b = 0, 1  # F_0, F_1
     for i in range(m.bit_length() - 1, -1, -1):
         c = a * (2 * b - a)  # F_{2j}
@@ -79,9 +85,9 @@ def fib(m: int) -> int:
 def fib_mod(m: int, modulus: int) -> int:
     """F_m mod modulus by fast doubling; agrees with fib(m) % modulus."""
     if m < 0:
-        raise ValueError(f"Fibonacci index must be >= 0, got {m}")
+        raise ValueError(f"Fibonacci index must be >= 0, got {show_int(m)}")
     if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
+        raise ValueError(f"modulus must be >= 1, got {show_int(modulus)}")
     if modulus == 1:
         return 0
     a, b = 0, 1
@@ -109,9 +115,9 @@ def _nu_int(p: int, x: int) -> int:
 def digit_sum(q: int, n: int) -> int:
     """Sum of the base-q digits of n."""
     if q < 2:
-        raise ValueError(f"digit base must be >= 2, got {q}")
+        raise ValueError(f"digit base must be >= 2, got {show_int(q)}")
     if n < 0:
-        raise ValueError(f"digit sum needs n >= 0, got {n}")
+        raise ValueError(f"digit sum needs n >= 0, got {show_int(n)}")
     if q == 2:
         return n.bit_count()
     s = 0

@@ -7,12 +7,12 @@ branch coverage), table (per-n valuation tables).
 Exit codes: 0 ok; 1 formula/oracle mismatch or integrity failure; 2 usage;
 3 eval disagreement under --method both; 4 branch-coverage gap.
 
-The library validates primes and indices itself (every ValueError it raises
-exits 2), so the commands check only what it cannot: flag presence, flags
->= 1, and the range of a whole scan or table before its first row: at most
-N_MAX_CAP rows, none past the index cap.  verify rejects a grid whose sweeps
-ask for too many cells (exit 2) before the first cell; eval computes every
-value it reports before it prints any.
+The library checks every value it is given (every ValueError it raises
+exits 2), so the commands check only what it cannot: flag presence, the
+N_MAX_CAP row cap of a scan or table (with its index cap, before the first
+row), and a prime --p under scan --predicate odd_fibonomial, which never
+hands p to the prime gate.  verify rejects a grid whose sweeps ask for too
+many cells before the first; eval computes each value before printing any.
 
 The parser is built once per process, on the first main() call, so an
 in-process caller pays for argparse setup once.  table writes its rows one
@@ -101,15 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_positive(**kwargs: int) -> None:
-    for name, value in kwargs.items():
-        if value < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
-
-
 def _check_range(args: argparse.Namespace) -> None:
     """Bound the rows of a scan or table before the first one is computed."""
-    _require_positive(a=args.a, n_max=args.n_max)
     if args.n_max > N_MAX_CAP:
         raise ValueError(f"--n-max {args.n_max} exceeds the cap {N_MAX_CAP}")
     check_index(args.p, args.a, args.n_max)
@@ -126,7 +119,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if central:
         if args.a is None or args.n is None:
             raise ValueError("central form needs both --a and --n")
-        _require_positive(a=args.a, n=args.n)
         m_index, k_index = check_index(args.p, args.a, args.n), args.n
     else:
         if args.m is None or args.k is None:
@@ -179,8 +171,9 @@ def _odd_fibonomial(p: int, a: int, n: int) -> bool:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    require_prime(args.p)  # for p != 2, odd_fibonomial evaluates at the prime 2 only
-    _check_range(args)
+    if args.predicate == "odd_fibonomial":
+        require_prime(args.p)  # for p != 2 it evaluates at the prime 2 only
+    _check_range(args)  # otherwise the first row's rank gate rejects a bad p
     hits = []
     for n in range(1, args.n_max + 1):
         if args.predicate == "odd_fibonomial":
@@ -203,10 +196,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         primes = tuple(int(tok) for tok in args.p_set.split(",") if tok.strip())
     except ValueError as exc:
         raise ValueError(f"bad --p-set: {exc}") from exc
-    if not primes:
-        raise ValueError("--p-set is empty")
-    _require_positive(a_max=args.a_max, n_max=args.n_max, index_cap=args.index_cap)
-    check_index(1, 1, args.index_cap)
     config = VerifyConfig(primes=primes, a_max=args.a_max, n_max=args.n_max,
                           index_cap=args.index_cap,
                           tier=OracleTier(args.tier))

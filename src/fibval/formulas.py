@@ -32,6 +32,7 @@ from .arith import (
     _nu_factorial_int,
     _nu_int,
     digit_sum,
+    show_int,
 )
 from .rank import Mod5Class, RankRecord, rank_of_apparition
 
@@ -143,12 +144,12 @@ def check_index(p: int, a: int, n: int) -> int:
     product is small enough to build and compare exactly.
     """
     if a < 1 or n < 1:
-        raise ValueError(f"index {p}^{a}*{n} needs a >= 1 and n >= 1")
+        raise ValueError(f"index {show_int(p)}^{show_int(a)}*{show_int(n)} needs a >= 1 and n >= 1")
     if a * (p.bit_length() - 1) + n.bit_length() <= 64:
         index = p**a * n
         if index <= INDEX_CAP:
             return index
-    raise ValueError(f"index {p}^{a}*{n} exceeds the 2^63 cap")
+    raise ValueError(f"index {show_int(p)}^{show_int(a)}*{show_int(n)} exceeds the 2^63 cap")
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,7 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
     """nu_p of the (m, k) Fibonomial coefficient, closed form."""
     rec = rank_of_apparition(p)
     if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got m={m}, k={k}")
+        raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if m:  # m = 0 is the (0, 0) coefficient, below any cap
         check_index(1, 1, m)
     if k == 0 or k == m:
@@ -244,7 +245,7 @@ def nu_ratio_prime_powers(p: int, l1: int, b: int, l2: int, a: int
     if p == 5:
         raise ValueError("the prime-power-ratio formula excludes p = 5")
     if b < a:
-        raise ValueError(f"need b >= a, got b={b}, a={a}")
+        raise ValueError(f"need b >= a, got b={show_int(b)}, a={show_int(a)}")
     m_index = check_index(p, b, l1)
     k_index = check_index(p, a, l2)
     if m_index <= k_index:

@@ -35,7 +35,7 @@ import threading
 from array import array
 from enum import Enum
 
-from .arith import FormulaIntegrityError, Valuation, _nu_int, fib, fib_mod, require_prime
+from .arith import FormulaIntegrityError, Valuation, _nu_int, fib, fib_mod, require_prime, show_int
 
 EXACT_CAP_DEFAULT = 400
 EXACT_CAP_ENV = "FIBVAL_EXACT_CAP"
@@ -73,9 +73,9 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     if cap is None:
         cap = exact_cap()
     if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got m={m}, k={k}")
+        raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if m > cap:
-        raise ValueError(f"exact tier capped at m <= {cap}, got m={m}")
+        raise ValueError(f"exact tier capped at m <= {cap}, got m={show_int(m)}")
     k = min(k, m - k)
     num = den = 1
     top, top_next = fib(m - k), fib(m - k + 1)
@@ -162,11 +162,11 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if tier is OracleTier.EXACT or p not in _val_sums:
         require_prime(p)
     if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got m={m}, k={k}")
+        raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if tier is OracleTier.EXACT:
         return Valuation(_nu_int(p, fibonomial_exact(m, k, cap=cap)))
     if m > MODULAR_CAP:
-        raise ValueError(f"modular tier capped at m <= {MODULAR_CAP}, got m={m}")
+        raise ValueError(f"modular tier capped at m <= {MODULAR_CAP}, got m={show_int(m)}")
     sums = _valuation_prefix(p, m)
     total = sums[m] - sums[m - k] - sums[k]
     if total < 0:

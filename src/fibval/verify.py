@@ -25,10 +25,11 @@ import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
-from .arith import FormulaIntegrityError, _nu_int
+from .arith import FormulaIntegrityError, _nu_int, show_int
 from .formulas import (
     AT_RANK,
     BRANCH_REACH,
+    INDEX_CAP,
     all_qualified_labels,
     nu_central,
     nu_fibonomial_formula,
@@ -52,12 +53,14 @@ class VerifyConfig:
 
     def __post_init__(self) -> None:
         if not self.primes or len(set(self.primes)) < len(self.primes):
-            raise ValueError(f"VerifyConfig.primes must be non-empty and distinct, "
-                             f"got {self.primes}")
+            raise ValueError(f"VerifyConfig.primes must be non-empty and distinct, got "
+                             f"({', '.join(map(show_int, self.primes))})")
         for name in ("a_max", "n_max", "index_cap"):
             value = getattr(self, name)
             if value < 1:
-                raise ValueError(f"VerifyConfig.{name} must be >= 1, got {value}")
+                raise ValueError(f"VerifyConfig.{name} must be >= 1, got {show_int(value)}")
+        if self.index_cap > INDEX_CAP:
+            raise ValueError(f"VerifyConfig.index_cap {show_int(self.index_cap)} exceeds 2^63")
 
     def n_limit(self, p: int, a: int) -> int:
         return min(self.n_max, self.index_cap // p**a)

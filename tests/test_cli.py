@@ -249,6 +249,47 @@ def test_scan_cap_exceeded(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("p", ["1", "4", "9", "91"])
+@pytest.mark.parametrize("argv", [
+    ("scan", "--predicate", "divisible"),
+    ("scan", "--predicate", "not_divisible"),
+    ("scan", "--predicate", "odd_fibonomial", "--format", "json"),
+    ("table", "--format", "csv"),
+    ("table", "--format", "json"),
+])
+def test_scan_and_table_reject_a_non_prime(capsys, argv, p):
+    code, out, err = run(capsys, *argv, "--p", p, "--a", "1", "--n-max", "20")
+    assert code == 2
+    assert out == ""
+    assert "prime" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--p", "3", "--a", "0", "--n", "1"), "needs a >= 1"),
+    (("eval", "--p", "3", "--a", "1", "--n", "0"), "needs a >= 1"),
+    (("scan", "--p", "3", "--a", "0", "--n-max", "5", "--predicate", "divisible"),
+     "needs a >= 1"),
+    (("scan", "--p", "3", "--a", "1", "--n-max", "0", "--predicate", "odd_fibonomial"),
+     "needs a >= 1"),
+    (("scan", "--p", "3", "--a", "1", "--n-max", "-1", "--predicate", "not_divisible"),
+     "needs a >= 1"),
+    (("table", "--p", "3", "--a", "0", "--n-max", "5"), "needs a >= 1"),
+    (("table", "--p", "3", "--a", "1", "--n-max", "0", "--format", "json"), "needs a >= 1"),
+    (("table", "--p", "3", "--a", "1", "--n-max", "-1"), "needs a >= 1"),
+    (("verify", "--p-set", "2", "--a-max", "0", "--n-max", "5"), "VerifyConfig.a_max"),
+    (("verify", "--p-set", "2", "--a-max", "1", "--n-max", "0"), "VerifyConfig.n_max"),
+    (("verify", "--p-set", "2", "--a-max", "1", "--n-max", "5", "--index-cap", "0"),
+     "VerifyConfig.index_cap"),
+    (("verify", "--p-set", "2", "--a-max", "1", "--n-max", "5",
+      "--index-cap", "9223372036854775809"), "VerifyConfig.index_cap"),
+])
+def test_library_gates_reject_out_of_range_flags(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_scan_bad_predicate(capsys):
     assert run(capsys, "scan", "--p", "2", "--a", "1", "--n-max", "5",
                "--predicate", "nope")[0] == 2
@@ -350,7 +391,7 @@ def test_verify_rejects_composite(capsys):
 
 
 @pytest.mark.parametrize("p_set, message", [
-    (",", "--p-set is empty"),
+    (",", "VerifyConfig.primes"),
     ("2,2,3", "VerifyConfig.primes"),
 ])
 def test_verify_rejects_empty_or_repeated_primes(capsys, p_set, message):

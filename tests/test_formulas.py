@@ -27,6 +27,7 @@ from fibval.formulas import (
 )
 from fibval.oracle import OracleTier, nu_fibonomial_oracle
 from fibval.rank import rank_of_apparition
+from fibval.verify import VerifyConfig
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -390,6 +391,37 @@ def test_check_index_is_exact_at_the_cap():
     for a, n in ((0, 1), (1, 0), (-1, 5), (3, -2)):
         with pytest.raises(ValueError):
             check_index(3, a, n)
+
+
+HUGE = 10**5000  # past Python's 4,300-digit int-to-str limit; 16,610 bits
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: check_index(3, 1, HUGE),
+                 r"index 3\^1\*<16610-bit integer> exceeds the 2\^63 cap", id="check_index"),
+    pytest.param(lambda: nu_fibonomial_formula(3, HUGE, 1),
+                 r"<16610-bit integer> exceeds the 2\^63 cap", id="nu_fibonomial_formula"),
+    pytest.param(lambda: nu_central(3, HUGE, 1),
+                 r"index 3\^<16610-bit integer>\*1 exceeds the 2\^63 cap", id="nu_central"),
+    pytest.param(lambda: VerifyConfig(primes=(2,), a_max=-HUGE, n_max=1),
+                 r"VerifyConfig\.a_max must be >= 1, got -<16610-bit integer>", id="a_max"),
+    pytest.param(lambda: VerifyConfig(primes=(2,), a_max=1, n_max=1, index_cap=2**30000),
+                 r"VerifyConfig\.index_cap <30001-bit integer> exceeds 2\^63",
+                 id="index_cap"),
+    pytest.param(lambda: check_index(3, -HUGE, 1),
+                 r"index 3\^-<16610-bit integer>\*1 needs a >= 1", id="negative_a"),
+    pytest.param(lambda: nu_fibonomial_formula(3, 5, HUGE),
+                 r"need 0 <= k <= m, got m=5, k=<16610-bit integer>", id="k_past_m"),
+    pytest.param(lambda: rank_of_apparition(HUGE),
+                 r"n < 2\^64 only, got <16610-bit integer>", id="huge_p"),
+    pytest.param(lambda: rank_of_apparition(-HUGE),
+                 r"expected a prime, got -<16610-bit integer>", id="negative_p"),
+    pytest.param(lambda: nu_fibonomial_oracle(3, HUGE, 1),
+                 r"capped at m <= \d+, got m=<16610-bit integer>", id="oracle"),
+])
+def test_gate_messages_show_a_huge_value_by_its_bit_length(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("name", TAKES_P)

@@ -135,9 +135,11 @@ def test_modular_tier_nonnegative(p, m, data):
 def test_oracle_never_imports_the_formula_layer():
     # ground truth must stay independent of what it is checking
     import ast
+    import pathlib
+
     import fibval.oracle as oracle_module
 
-    tree = ast.parse(open(oracle_module.__file__).read())
+    tree = ast.parse(pathlib.Path(oracle_module.__file__).read_text())
     imported = [node.module or "" for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)]
     imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)

@@ -103,6 +103,18 @@ def test_config_rejects_a_bound_below_one(field, value):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize("index_cap", [2**63 + 1, 2**64, 2**30000],
+                         ids=["2^63+1", "2^64", "2^30000"])
+def test_config_rejects_an_index_cap_past_2_63_at_once(index_cap):
+    # without this bound, run_verify on the 2^30000 config ran 10-12 s on 2 cores
+    # and then failed while formatting its own error message
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="VerifyConfig.index_cap"):
+        VerifyConfig(primes=(2,), a_max=10**9, n_max=1, index_cap=index_cap)
+    assert time.perf_counter() - start < 0.1
+    assert VerifyConfig(primes=(2,), a_max=10**9, n_max=1, index_cap=2**63).index_cap == 2**63
+
+
 @pytest.mark.parametrize("primes", [(), (2, 2, 3), (3, 2, 3)])
 def test_config_rejects_empty_or_repeated_primes(primes):
     with pytest.raises(ValueError, match="VerifyConfig.primes"):
