@@ -19,6 +19,13 @@ gate is ``rank_of_apparition(p)``: its record exists only for a prime, and
 it carries everything the formulas read about p (z(p), nu_p(F_z(p)) and
 p mod 5).  The index gate is ``check_index``, which bounds p^a*n by bit
 lengths before it builds p**a and returns the index for reuse.
+
+Results are built as plain tuples: every ``BranchTrace`` and ``Valuation``
+comes from ``tuple.__new__`` with its fields positionally in declared
+order, which skips the keyword-argument ``__new__`` of a NamedTuple.  A
+slip in that order would go unnoticed by the type, so
+``test_trace_field_order`` pins the field order and the golden traces in
+``tests/test_formulas.py`` pin every construction site.
 """
 
 from __future__ import annotations
@@ -42,6 +49,11 @@ INDEX_CAP = 1 << 63
 
 
 class Theorem(Enum):
+    # Enum's own __hash__ is a Python-level call.  Members are singletons that
+    # compare by identity, so the identity hash agrees with equality, and
+    # run_verify's per-cell (theorem, label) coverage keys hash in C.
+    __hash__ = object.__hash__
+
     T2ADIC_GENERAL = "T2adic_general"
     T5ADIC = "T5adic"
     TP_GENERAL_MK = "Tp_general_mk"
@@ -57,6 +69,11 @@ class BranchTrace(NamedTuple):
     ``r`` and ``s`` are residues of the two Fibonomial indices modulo
     ``modulus`` (6 for the 2-adic tables, z(p) otherwise).  Fields that a
     given formula does not define are None.
+
+    The formulas build traces positionally, all 13 fields in the declared
+    order below, through ``tuple.__new__``; ``test_trace_field_order`` and
+    the golden traces pin that order, so fields may not be reordered or
+    inserted without updating every construction site.
     """
 
     theorem: Theorem
@@ -168,12 +185,14 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
     rec = rank_of_apparition(p)
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
-    if m:  # m = 0 is the (0, 0) coefficient, below any cap
-        check_index(1, 1, m)
+    if m > INDEX_CAP:
+        raise ValueError(f"m={show_int(m)} exceeds the 2^63 cap")
     if k == 0 or k == m:
         theorem = Theorem.T2ADIC_GENERAL if p == 2 else (
             Theorem.T5ADIC if p == 5 else Theorem.TP_GENERAL_MK)
-        return Valuation(0), BranchTrace(theorem, BOUNDARY_LABEL)
+        return tuple.__new__(Valuation, (0,)), tuple.__new__(BranchTrace, (
+            theorem, BOUNDARY_LABEL, None, None, None, None, None, None, None, None, None,
+            None, None))
     if p == 2:
         return _nu2_general(m, k)
     if p == 5:
@@ -204,16 +223,17 @@ def _nu2_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     value = a2 + bump
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p=2, m={m}, k={k})")
-    trace = BranchTrace(Theorem.T2ADIC_GENERAL, label, modulus=6, r=r, s=s, A=a2,
-                        z=3, nu_fz=1)
-    return Valuation(value), trace
+    trace = tuple.__new__(BranchTrace, (
+        Theorem.T2ADIC_GENERAL, label, 6, r, s, a2, None, None, 3, 1, None, None, None))
+    return tuple.__new__(Valuation, (value,)), trace
 
 
 def _nu5_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     # 5-adically the Fibonomial and the ordinary binomial agree.
     value = _binom_val(5, m, k)
-    trace = BranchTrace(Theorem.T5ADIC, "binomial", modulus=5, z=5, nu_fz=1)
-    return Valuation(value), trace
+    trace = tuple.__new__(BranchTrace, (
+        Theorem.T5ADIC, "binomial", 5, None, None, None, None, None, 5, 1, None, None, None))
+    return tuple.__new__(Valuation, (value,)), trace
 
 
 def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrace]:
@@ -226,9 +246,9 @@ def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrac
         label = "r<s"
     else:
         label = "r>=s"
-    trace = BranchTrace(Theorem.TP_GENERAL_MK, label, modulus=z, r=r, s=s,
-                        z=z, nu_fz=rec.nu_fz, m_prime=mp, k_prime=kp)
-    return Valuation(value), trace
+    trace = tuple.__new__(BranchTrace, (
+        Theorem.TP_GENERAL_MK, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
+    return tuple.__new__(Valuation, (value,)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +312,10 @@ def _nu2_ratio(l1: int, b: int, l2: int, a: int) -> tuple[Valuation, BranchTrace
             label = "p2 a!=b (2,2)"
     if value < 0:
         raise FormulaIntegrityError(f"negative ratio valuation at (2, {l1}, {b}, {l2}, {a})")
-    trace = BranchTrace(Theorem.TRATIO, label, modulus=3,
-                        r=l1 * pow(2, b, 3) % 3, s=l2 * pow(2, a, 3) % 3,
-                        z=3, nu_fz=1, m_prime=m2, k_prime=k2)
-    return Valuation(value), trace
+    trace = tuple.__new__(BranchTrace, (
+        Theorem.TRATIO, label, 3, l1 * pow(2, b, 3) % 3, l2 * pow(2, a, 3) % 3,
+        None, None, None, 3, 1, None, m2, k2))
+    return tuple.__new__(Valuation, (value,)), trace
 
 
 def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
@@ -333,9 +353,9 @@ def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
                 label = "pm2 a odd r<s"
     if value < 0:
         raise FormulaIntegrityError(f"negative ratio valuation at ({p}, {l1}, {b}, {l2}, {a})")
-    trace = BranchTrace(Theorem.TRATIO, label, modulus=z, r=r, s=s,
-                        z=z, nu_fz=rec.nu_fz, m_prime=mp, k_prime=kp)
-    return Valuation(value), trace
+    trace = tuple.__new__(BranchTrace, (
+        Theorem.TRATIO, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
+    return tuple.__new__(Valuation, (value,)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +413,9 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     value = delta + A.bit_count() - coeff * eps
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p=2, a={a}, n={n})")
-    trace = BranchTrace(Theorem.C2ADIC, label, modulus=6, r=index % 6, s=res6,
-                        A=A, delta=delta, epsilon=eps, z=3, nu_fz=1, b=b)
-    return Valuation(value), trace
+    trace = tuple.__new__(BranchTrace, (
+        Theorem.C2ADIC, label, 6, index % 6, res6, A, delta, eps, 3, 1, b, None, None))
+    return tuple.__new__(Valuation, (value,)), trace
 
 
 def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
@@ -407,9 +427,10 @@ def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     value = ssum // 4
     if value < 1:
         raise FormulaIntegrityError(f"5-adic central valuation must be >= 1, got {value}")
-    trace = BranchTrace(Theorem.C5ADIC, "s5 digit sum", modulus=5,
-                        r=0, s=n % 5, A=A, z=5, nu_fz=1, b=_nu_int(5, n))
-    return Valuation(value), trace
+    trace = tuple.__new__(BranchTrace, (
+        Theorem.C5ADIC, "s5 digit sum", 5, 0, n % 5, A, None, None, 5, 1, _nu_int(5, n),
+        None, None))
+    return tuple.__new__(Valuation, (value,)), trace
 
 
 def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
@@ -469,9 +490,9 @@ def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
         value = base + delta
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p={p}, a={a}, n={n})")
-    trace = BranchTrace(Theorem.CP, label, modulus=z, r=r, s=s, A=A, delta=delta,
-                        z=z, nu_fz=nu_fz, b=b)
-    return Valuation(value), trace
+    trace = tuple.__new__(BranchTrace, (
+        Theorem.CP, label, z, r, s, A, delta, None, z, nu_fz, b, None, None))
+    return tuple.__new__(Valuation, (value,)), trace
 
 
 def nu_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:

@@ -4,8 +4,9 @@ Two deliberately naive, mutually independent routes:
 
 * tier A ("exact"): build the Fibonomial coefficient as a big integer, the
   quotient F_(m-k+1)...F_m / (F_1...F_k) with k = min(k, m - k), and count
-  prime factors directly.  It keeps no state between calls; its index cap
-  bounds the time a call takes;
+  prime factors directly.  ``fibonomial_row`` builds a whole row m by the
+  recurrence in k instead.  Tier A keeps no state between calls; its index
+  cap bounds the time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -91,6 +92,34 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     return q
 
 
+def fibonomial_row(m: int) -> list[int]:
+    """The row C(m, 0)_F, ..., C(m, m)_F as exact integers.
+
+    Steps C(m, k)_F = C(m, k-1)_F * F_(m-k+1) / F_k: the factors F_m,
+    F_(m-1), ... step down from fast doubling at m, the divisors F_1, F_2,
+    ... step up from F_0, and every division is asserted exact: one
+    multiplication and one division a cell, where ``fibonomial_exact``
+    multiplies min(k, m - k) factors for each cell afresh.  The tier-A cap
+    applies.
+    """
+    cap = exact_cap()
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={show_int(m)}")
+    if m > cap:
+        raise ValueError(f"exact tier capped at m <= {cap}, got m={show_int(m)}")
+    row = [1]
+    top, top_next = fib(m), fib(m + 1)  # F_(m-k+1) and F_(m-k+2) at step k
+    low, low_next = 0, 1
+    for k in range(1, m + 1):
+        low, low_next = low_next, low + low_next
+        q, r = divmod(row[-1] * top, low)
+        if r:
+            raise FormulaIntegrityError(f"Fibonomial row step not an integer at (m={m}, k={k})")
+        row.append(q)
+        top, top_next = top_next - top, top
+    return row
+
+
 # Per-prime prefix sums of nu_p(F_i):  _val_sums[p][j] = sum_{i<=j} nu_p(F_i).
 # Every key is a prime, checked before its first build.
 _val_sums: dict[int, array] = {}
@@ -164,7 +193,7 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if tier is OracleTier.EXACT:
-        return Valuation(_nu_int(p, fibonomial_exact(m, k, cap=cap)))
+        return tuple.__new__(Valuation, (_nu_int(p, fibonomial_exact(m, k, cap=cap)),))
     if m > MODULAR_CAP:
         raise ValueError(f"modular tier capped at m <= {MODULAR_CAP}, got m={show_int(m)}")
     sums = _valuation_prefix(p, m)
@@ -172,7 +201,7 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if total < 0:
         raise FormulaIntegrityError(
             f"negative valuation sum at (p={p}, m={m}, k={k}); integrality violated")
-    return Valuation(total)
+    return tuple.__new__(Valuation, (total,))
 
 
 def clear_caches() -> None:

@@ -30,7 +30,6 @@ from .formulas import (
     AT_RANK,
     BRANCH_REACH,
     INDEX_CAP,
-    all_qualified_labels,
     nu_central,
     nu_fibonomial_formula,
     nu_ratio_prime_powers,
@@ -170,7 +169,7 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
                              "lower the index cap or leave out the large primes")
 
     start = time.perf_counter()
-    coverage = {lab: 0 for lab in all_qualified_labels()}
+    coverage = {(theorem, label): 0 for theorem, label, *_ in BRANCH_REACH}
     mismatches: list[Mismatch] = []
     cells = 0
 
@@ -183,7 +182,7 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
             value, branch = None, INTEGRITY_BRANCH
         else:
             value, branch = val.value, trace.branch_label
-            key = qualified_label(trace.theorem, branch)
+            key = (trace.theorem, branch)  # qualified once, when the report is built
             if key in coverage:
                 coverage[key] += 1
         if value != ora:
@@ -205,7 +204,8 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
     mismatches.sort(key=lambda x: (x.n if x.n is not None else -1,
                                    x.a if x.a is not None else -1,
                                    x.p, x.m, x.k, x.check))
-    report = VerifyReport(config, cells, mismatches, coverage, expected_labels(config))
+    branch_coverage = {qualified_label(*key): count for key, count in coverage.items()}
+    report = VerifyReport(config, cells, mismatches, branch_coverage, expected_labels(config))
     report.elapsed_seconds = time.perf_counter() - start
     return report
 

@@ -151,6 +151,13 @@ def test_eval_usage_errors(capsys):
     assert run(capsys, "eval", "--p", "3", "--m", "5", "--k", "9")[0] == 2
 
 
+def test_eval_general_past_the_index_cap_names_m(capsys):
+    code, out, err = run(capsys, "eval", "--p", "3", "--m", str(2**64), "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert f"m={2**64} exceeds the 2^63 cap" in err
+
+
 def test_eval_disagreement_exits_3(capsys, monkeypatch):
     # consistent double mutation: wrong delta flows through the cross-check
     monkeypatch.setitem(formulas.DELTA2_EVEN_A, 3, 0)

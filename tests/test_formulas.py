@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibval.formulas as formulas
-from fibval.arith import FormulaIntegrityError, _nu_factorial_int
+from fibval.arith import FormulaIntegrityError, Valuation, _nu_factorial_int
 from fibval.formulas import (
     BOUNDARY_LABEL,
     INDEX_CAP,
@@ -400,7 +400,7 @@ HUGE = 10**5000  # past Python's 4,300-digit int-to-str limit; 16,610 bits
     pytest.param(lambda: check_index(3, 1, HUGE),
                  r"index 3\^1\*<16610-bit integer> exceeds the 2\^63 cap", id="check_index"),
     pytest.param(lambda: nu_fibonomial_formula(3, HUGE, 1),
-                 r"<16610-bit integer> exceeds the 2\^63 cap", id="nu_fibonomial_formula"),
+                 r"m=<16610-bit integer> exceeds the 2\^63 cap", id="nu_fibonomial_formula"),
     pytest.param(lambda: nu_central(3, HUGE, 1),
                  r"index 3\^<16610-bit integer>\*1 exceeds the 2\^63 cap", id="nu_central"),
     pytest.param(lambda: VerifyConfig(primes=(2,), a_max=-HUGE, n_max=1),
@@ -462,22 +462,38 @@ def test_warm_evaluation_makes_no_primality_test(name, monkeypatch):
 TRACE_FIELDS = ("theorem", "branch_label", "modulus", "r", "s", "A", "delta", "epsilon",
                 "z", "nu_fz", "b", "m_prime", "k_prime")
 
-# One cell per theorem: (entry, args, value, every trace field in order).
+# One cell per construction site in formulas.py (each builds its trace
+# positionally): (entry, args, value, every trace field in order).
 GOLDEN_TRACES = [
-    (nu_fibonomial_formula, (2, 6, 2), 3,
-     (Theorem.T2ADIC_GENERAL, "r<s", 6, 0, 2, 0, None, None, 3, 1, None, None, None)),
-    (nu_fibonomial_formula, (5, 12, 3), 1,
-     (Theorem.T5ADIC, "binomial", 5, None, None, None, None, None, 5, 1, None, None, None)),
-    (nu_fibonomial_formula, (7, 20, 9), 0,
-     (Theorem.TP_GENERAL_MK, "r>=s", 8, 4, 1, None, None, None, 8, 1, None, 2, 1)),
-    (nu_ratio_prime_powers, (3, 2, 1, 1, 1), 1,
-     (Theorem.TRATIO, "pm2 a odd r<s", 4, 2, 3, None, None, None, 4, 1, None, 0, 0)),
-    (nu2_central, (3, 6), 3,
-     (Theorem.C2ADIC, "a odd, n%6=0", 6, 0, 0, 7, 0, 0, 3, 1, 1, None, None)),
-    (nu5_central, (2, 7), 2,
-     (Theorem.C5ADIC, "s5 digit sum", 5, 0, 2, 168, None, None, 5, 1, 0, None, None)),
-    (nup_central, (11, 1, 12), 0,
-     (Theorem.CP, "pm1", 10, 2, 2, 12, None, None, 10, 1, 0, None, None)),
+    pytest.param(nu_fibonomial_formula, (2, 6, 2), 3,
+                 (Theorem.T2ADIC_GENERAL, "r<s", 6, 0, 2, 0, None, None, 3, 1, None, None, None),
+                 id="T2adic_general"),
+    pytest.param(nu_fibonomial_formula, (5, 12, 3), 1,
+                 (Theorem.T5ADIC, "binomial", 5, None, None, None, None, None, 5, 1, None, None,
+                  None),
+                 id="T5adic"),
+    pytest.param(nu_fibonomial_formula, (7, 20, 9), 0,
+                 (Theorem.TP_GENERAL_MK, "r>=s", 8, 4, 1, None, None, None, 8, 1, None, 2, 1),
+                 id="Tp_general_mk"),
+    pytest.param(nu_fibonomial_formula, (7, 9, 0), 0,
+                 (Theorem.TP_GENERAL_MK, BOUNDARY_LABEL, None, None, None, None, None, None,
+                  None, None, None, None, None),
+                 id="boundary"),
+    pytest.param(nu_ratio_prime_powers, (3, 2, 1, 1, 1), 1,
+                 (Theorem.TRATIO, "pm2 a odd r<s", 4, 2, 3, None, None, None, 4, 1, None, 0, 0),
+                 id="Tratio"),
+    pytest.param(nu_ratio_prime_powers, (2, 3, 2, 1, 1), 4,
+                 (Theorem.TRATIO, "p2 a!=b (l1=0)", 3, 0, 2, None, None, None, 3, 1, None, 2, 0),
+                 id="Tratio_p2"),
+    pytest.param(nu2_central, (3, 6), 3,
+                 (Theorem.C2ADIC, "a odd, n%6=0", 6, 0, 0, 7, 0, 0, 3, 1, 1, None, None),
+                 id="C2adic"),
+    pytest.param(nu5_central, (2, 7), 2,
+                 (Theorem.C5ADIC, "s5 digit sum", 5, 0, 2, 168, None, None, 5, 1, 0, None, None),
+                 id="C5adic"),
+    pytest.param(nup_central, (11, 1, 12), 0,
+                 (Theorem.CP, "pm1", 10, 2, 2, 12, None, None, 10, 1, 0, None, None),
+                 id="Cp"),
 ]
 
 
@@ -485,10 +501,12 @@ def test_trace_field_order():
     assert BranchTrace._fields == TRACE_FIELDS
 
 
-@pytest.mark.parametrize("fn, args, value, fields", GOLDEN_TRACES,
-                         ids=[row[3][0].value for row in GOLDEN_TRACES])
+@pytest.mark.parametrize("fn, args, value, fields", GOLDEN_TRACES)
 def test_golden_trace_fields(fn, args, value, fields):
     val, trace = fn(*args)
+    assert type(val) is Valuation
     assert val.value == value
+    assert type(trace) is BranchTrace
+    assert len(trace) == len(BranchTrace._fields)
     assert tuple(trace) == fields
     assert trace == BranchTrace(*fields)

@@ -13,6 +13,7 @@ from fibval.oracle import (
     OracleTier,
     exact_cap,
     fibonomial_exact,
+    fibonomial_row,
     nu_fibonomial_oracle,
 )
 
@@ -98,6 +99,29 @@ def test_exact_rejects_bad_indices():
         fibonomial_exact(5, -1)
 
 
+def test_row_matches_definition_small_grid():
+    for m in range(0, 26):
+        assert fibonomial_row(m) == [fibonomial_by_definition(m, k) for k in range(m + 1)]
+
+
+def test_row_rejects_bad_m_and_enforces_the_cap(monkeypatch):
+    with pytest.raises(ValueError, match="m >= 0"):
+        fibonomial_row(-1)
+    with pytest.raises(ValueError, match="capped"):
+        fibonomial_row(EXACT_CAP_DEFAULT + 1)
+    monkeypatch.setenv("FIBVAL_EXACT_CAP", "50")
+    assert len(fibonomial_row(50)) == 51
+    with pytest.raises(ValueError, match="capped"):
+        fibonomial_row(51)
+
+
+def test_row_non_integral_step_raises(monkeypatch):
+    # a wrong seed F_20 = 6766 carries into every factor stepped down from it
+    monkeypatch.setattr(oracle, "fib", lambda i: 6766 if i == 20 else fib(i))
+    with pytest.raises(FormulaIntegrityError, match="not an integer"):
+        fibonomial_row(20)
+
+
 def test_oracle_examples():
     val = nu_fibonomial_oracle(2, 6, 2, OracleTier.EXACT)
     assert val == (3,)
@@ -113,8 +137,10 @@ def test_modular_cap_enforced():
 
 def test_tiers_agree_up_to_300():
     for m in range(0, 301):
-        for k in range(0, m + 1):
-            value = fibonomial_exact(m, k)
+        row = fibonomial_row(m)
+        if m % 20 == 0:  # pins the single-query path on every twentieth row
+            assert row == [fibonomial_exact(m, k) for k in range(m + 1)], m
+        for k, value in enumerate(row):
             for p in SMALL_PRIMES:
                 expected = 0
                 x = value

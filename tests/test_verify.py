@@ -32,6 +32,28 @@ def test_every_declared_label_is_a_key(small_report):
     assert set(small_report.branch_coverage) == set(all_qualified_labels())
 
 
+def test_coverage_counts_are_pinned(small_report):
+    # every count of small_config(), in declaration order
+    assert list(small_report.branch_coverage.items()) == list({
+        "T2adic_general:r>=s": 117, "T2adic_general:r>=s exceptional": 28,
+        "T2adic_general:r<s exceptional": 58, "T2adic_general:r<s": 37,
+        "T5adic:binomial": 211, "Tp_general_mk:r>=s": 425, "Tp_general_mk:r<s": 157,
+        "Tratio:p2 a=b (eq or l2=0)": 38, "Tratio:p2 a=b (l1=0)": 4,
+        "Tratio:p2 a=b (1,2)": 2, "Tratio:p2 a=b (2,1)": 6,
+        "Tratio:p2 a!=b (neg or l2=0)": 19, "Tratio:p2 a!=b (l1=0)": 4,
+        "Tratio:p2 a!=b (1,1)": 15, "Tratio:p2 a!=b (2,2)": 11,
+        "Tratio:pm1 r>=s": 173, "Tratio:pm1 r<s": 111, "Tratio:pm2 r=s or l2=0": 49,
+        "Tratio:pm2 l1=0": 11, "Tratio:pm2 a even r>s": 7, "Tratio:pm2 a even r<s": 3,
+        "Tratio:pm2 a odd r>s": 11, "Tratio:pm2 a odd r<s": 20,
+        "C2adic:a even, n%6 in {3,5}": 20, "C2adic:a even, n%6 in {0,1,2,4}": 40,
+        "C2adic:a odd, n odd": 30, "C2adic:a odd, n%6=0": 10, "C2adic:a odd, n%6=2": 10,
+        "C2adic:a odd, n%6=4": 10, "C5adic:s5 digit sum": 120, "Cp:pm1": 120,
+        "Cp:pm2 a even": 60, "Cp:pm2 a odd r=s": 30, "Cp:pm2 a odd r<s": 15,
+        "Cp:pm2 a odd r>s": 15,
+    }.items())
+    assert type(small_report.branch_coverage) is dict
+
+
 def test_expected_labels_scoping():
     # no +-1 (mod 5) prime: the pm1 rows are out of scope
     no_pm1 = expected_labels(small_config(primes=(2, 3, 5, 7)))
