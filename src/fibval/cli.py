@@ -15,9 +15,12 @@ hands p to the prime gate.  verify rejects a grid whose sweeps ask for too
 many cells before the first; eval computes each value before printing any.
 
 The parser is built once per process, on the first main() call, so an
-in-process caller pays for argparse setup once.  table writes its rows one
-at a time as they are computed (JSON from one fixed row template), so its
-memory does not grow with --n-max.
+in-process caller pays for argparse setup once.  When the first argument is
+exactly a command name, that command's subparser alone parses the rest;
+the top-level parser handles everything else (no command, help, an unknown
+command, an option before the command) and reports leftover arguments.
+table writes its rows one at a time as they are computed (JSON from one
+fixed row template), so its memory does not grow with --n-max.
 """
 
 from __future__ import annotations
@@ -54,8 +57,15 @@ EXIT_COVERAGE = 4
 N_MAX_CAP = 10**5  # most rows of a scan or table, which bounds the time one command takes
 
 
-@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+# parse_args leaves a parser as it was, so one tree serves every call.  The
+# second item maps each command name to its subparser, which _parse_argv
+# hands the rest of a command's argv to without the top-level parser.
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="fibval",
         description="p-adic valuations of Fibonomial coefficients: closed forms, "
@@ -98,7 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
     ta.add_argument("--n-max", type=int, required=True, dest="n_max")
     ta.add_argument("--format", choices=["csv", "json"], default="csv")
     ta.set_defaults(func=cmd_table)
-    return parser
+    return parser, dict(sub.choices)
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), less the command attribute, which
+    nothing reads.  A known command skips the top-level parser, which would
+    classify every argument before its subparser parses them again."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _check_range(args: argparse.Namespace) -> None:
@@ -237,9 +261,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

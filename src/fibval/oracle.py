@@ -23,7 +23,10 @@ discarded.  A build runs to at least twice the prefix's length (within
 MODULAR_CAP), so a prefix grown a few indices at a time is seeded and
 checked O(log j) times.  Each prefix is an array('q') of running sums, 8
 bytes an index.  The primality of p is tested before its first build, so
-a key of the prefix table is a prime checked once.
+a key of the prefix table is a prime checked once.  After a build, whole
+prefixes of other primes are evicted, oldest-built first, while the table
+holds more than PREFIX_ENTRY_CAP entries; an evicted prime is checked and
+built again on its next query.
 
 Neither route knows anything about ranks of apparition or the closed-form
 layer; this module must never import fibval.formulas.
@@ -41,6 +44,8 @@ from .arith import FormulaIntegrityError, Valuation, _nu_int, fib, fib_mod, requ
 EXACT_CAP_DEFAULT = 400
 EXACT_CAP_ENV = "FIBVAL_EXACT_CAP"
 MODULAR_CAP = 10**7
+# most tier-B prefix entries over all primes (8 bytes each): two full prefixes
+PREFIX_ENTRY_CAP = 2 * (MODULAR_CAP + 1)
 _EXPONENT_CAP = 64
 _SWEEP_BOUND = 1 << 63
 
@@ -121,8 +126,10 @@ def fibonomial_row(m: int) -> list[int]:
 
 
 # Per-prime prefix sums of nu_p(F_i):  _val_sums[p][j] = sum_{i<=j} nu_p(F_i).
-# Every key is a prime, checked before its first build.
+# Every key is a prime, checked before its first build.  Keys are in build
+# order, the last built last; _entries is the sum of the prefixes' lengths.
 _val_sums: dict[int, array] = {}
+_entries = 0
 _sums_lock = threading.Lock()
 
 
@@ -175,13 +182,22 @@ def _extend_prefix(p: int, sums: array, j: int) -> None:
 
 
 def _valuation_prefix(p: int, j: int) -> array:
+    global _entries
     sums = _val_sums.get(p)
     if sums is None or len(sums) <= j:
         with _sums_lock:
-            sums = _val_sums.setdefault(p, array("q", [0]))
-            if len(sums) <= j:
+            sums = _val_sums.pop(p, None)
+            if sums is None:
+                sums = array("q", [0])
+                _entries += 1
+            _val_sums[p] = sums  # last in build order
+            start = len(sums)
+            if start <= j:
                 # at least doubling keeps the seed and the end check to O(log j) builds
-                _extend_prefix(p, sums, max(j, min(2 * len(sums), MODULAR_CAP)))
+                _extend_prefix(p, sums, max(j, min(2 * start, MODULAR_CAP)))
+                _entries += len(sums) - start
+                while _entries > PREFIX_ENTRY_CAP and len(_val_sums) > 1:
+                    _entries -= len(_val_sums.pop(next(iter(_val_sums))))  # never p, the last
     return sums
 
 
@@ -205,5 +221,7 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
 
 
 def clear_caches() -> None:
+    global _entries
     with _sums_lock:
         _val_sums.clear()
+        _entries = 0

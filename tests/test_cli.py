@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import os
 import string
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import fibval.formulas as formulas
 from fibval import oracle, rank
-from fibval.cli import N_MAX_CAP, build_parser, main
+from fibval.cli import N_MAX_CAP, _parse_argv, build_parser, console_main, main
 from fibval.verify import SWEEP_CELL_CAP
 
 
@@ -486,6 +487,32 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
         0, "p,a,n,nu,branch\n5,1,1,1,s5 digit sum\n", "")
 
 
+def test_a_known_command_skips_the_top_level_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    assert run(capsys, "scan", "--p", "2", "--a", "2", "--n-max", "20",
+               "--predicate", "odd_fibonomial") == (0, "1\n2\n4\n8\n16\n", "")
+    assert run(capsys, "table", "--p", "5", "--a", "1", "--n-max", "1") == (
+        0, "p,a,n,nu,branch\n5,1,1,1,s5 digit sum\n", "")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["fibval", "table", "--p", "5", "--a", "1", "--n-max", "1"], 0,
+     "p,a,n,nu,branch\n5,1,1,1,s5 digit sum\n"),
+    (["fibval"], 2, ""),
+])
+def test_console_entry_point_reads_sys_argv(capsys, monkeypatch, argv, code, out):
+    monkeypatch.setattr("sys.argv", argv)
+    assert main(None) == code
+    assert capsys.readouterr().out == out
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    assert exc.value.code == code
+    assert capsys.readouterr().out == out
+
+
 # --- fuzz -------------------------------------------------------------------
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 2**64 - 59)
@@ -557,3 +584,35 @@ def test_fuzz_main_returns_a_documented_exit_code(argv):
         assert main(argv) in (0, 1, 2, 3, 4), argv
     finally:
         oracle.clear_caches()
+
+
+# Help, no command, an unknown or misspelt command, an option before the
+# command, "--", and trailing or unrecognized arguments.
+EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"], ["nope"], ["Scan"], ["--"], ["--", "scan"], ["-x", "scan"],
+    ["scan"], ["verify", "-h"], ["table", "--help"], ["eval", "--he"], ["scan", "--"],
+    ["table", "--", "--p", "5"], ["table", "--p=5", "--a=1", "--n-max=2"],
+    ["table", "--p", "5", "--a", "1", "--n-max", "2", "extra"],
+    ["table", "--p", "5", "--a", "1", "--n-max", "2", "--bogus", "x", "y"],
+    ["table", "--p", "5", "--a", "1", "--n-max", "2", "--", "x"],
+    ["scan", "--p", "5", "--a", "1", "--n-max", "3", "--pred", "divisible"],
+    ["eval", "--p", "2", "--a", "1", "--n", "1", "--p", "3"],
+]
+
+
+def parse_outcome(parse, argv):
+    """The parsed flags, less the command attribute, or the exit code; then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+            result.pop("command", None)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EDGE_ARGVS) | argvs())
+def test_parse_matches_the_top_level_parse(argv):
+    assert parse_outcome(_parse_argv, argv) == parse_outcome(build_parser().parse_args, argv), argv

@@ -256,3 +256,30 @@ def test_oracle_rejects_composite_and_huge_p_before_the_index_check(p, tier):
     with pytest.raises(ValueError, match=expected):
         nu_fibonomial_oracle(p, 5, 9, tier)  # k > m would fail next
     assert p not in oracle._val_sums
+
+
+def test_prefix_table_evicts_the_oldest_built_primes_past_its_cap(cold_prefixes, monkeypatch):
+    primes = SMALL_PRIMES + (999983,)
+    rounds = ((40, primes), (700, primes), (3000, primes[::-1]))  # the last builds reversed
+    queries = [(p, m, k) for m, order in rounds for p in order for k in (1, m // 3)]
+    expected = [nu_fibonomial_oracle(*query) for query in queries]  # evicts nothing
+    oracle.clear_caches()
+    monkeypatch.setattr(oracle, "MODULAR_CAP", 3000)
+    monkeypatch.setattr(oracle, "PREFIX_ENTRY_CAP", 7000)  # two full prefixes and then some
+    got = []
+    for p, m, k in queries:
+        got.append(nu_fibonomial_oracle(p, m, k))
+        entries = sum(map(len, oracle._val_sums.values()))
+        assert entries == oracle._entries <= 7000
+        assert list(oracle._val_sums)[-1] == p  # the prime just built is kept
+    assert got == expected
+    kept = list(oracle._val_sums)
+    assert kept == list(primes[len(kept) - 1::-1])  # the last built survive, in build order
+    evicted = primes[-1]
+    assert evicted not in kept
+    checked = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: checked.append(n) or real(n))
+    query = (evicted, 3000, 1000)
+    assert nu_fibonomial_oracle(*query) == expected[queries.index(query)]
+    assert checked == [evicted]

@@ -78,10 +78,13 @@ def test_divisibility_iff_rank_divides_index():
     # p | F_m exactly at the multiples of z(p), checked through 5 periods
     for p in sieve(10**4):
         z = rank_of_apparition(p).z
+        zeros = []
         a, b = 1, 1
         for m in range(1, 5 * z + 1):
-            assert (a == 0) == (m % z == 0), (p, m)
+            if not a:
+                zeros.append(m)
             a, b = b, (a + b) % p
+        assert zeros == list(range(z, 5 * z + 1, z)), p
 
 
 def test_nu_fz_matches_exact_fibonacci():
