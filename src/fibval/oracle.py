@@ -4,9 +4,11 @@ Two deliberately naive, mutually independent routes:
 
 * tier A ("exact"): build the Fibonomial coefficient as a big integer, the
   quotient F_(m-k+1)...F_m / (F_1...F_k) with k = min(k, m - k), and count
-  prime factors directly.  ``fibonomial_row`` builds a whole row m by the
-  recurrence in k instead.  Tier A keeps no state between calls; its index
-  cap bounds the time a call takes;
+  prime factors directly.  Each product multiplies runs of 32 factors, then
+  the run products as a balanced tree, so that its large multiplications
+  pair operands of like size.  ``fibonomial_row`` builds a whole row m by
+  the recurrence in k instead.  Tier A keeps no state between calls; its
+  index cap, at most EXACT_CAP_MAX, bounds the time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -43,11 +45,14 @@ from .arith import FormulaIntegrityError, Valuation, _nu_int, fib, fib_mod, requ
 
 EXACT_CAP_DEFAULT = 400
 EXACT_CAP_ENV = "FIBVAL_EXACT_CAP"
+# highest tier-A cap: one call at m = 2000, k = 1000 takes under a second
+EXACT_CAP_MAX = 2000
 MODULAR_CAP = 10**7
 # most tier-B prefix entries over all primes (8 bytes each): two full prefixes
 PREFIX_ENTRY_CAP = 2 * (MODULAR_CAP + 1)
 _EXPONENT_CAP = 64
 _SWEEP_BOUND = 1 << 63
+_RUN = 32  # tier-A factors multiplied one at a time before the runs are paired
 
 
 class OracleTier(Enum):
@@ -56,17 +61,28 @@ class OracleTier(Enum):
 
 
 def exact_cap() -> int:
-    """Tier-A index cap; overridable via the FIBVAL_EXACT_CAP env var."""
+    """Tier-A index cap; overridable via the FIBVAL_EXACT_CAP env var, up to EXACT_CAP_MAX."""
     raw = os.environ.get(EXACT_CAP_ENV)
     if raw is None:
         return EXACT_CAP_DEFAULT
+    shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{EXACT_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{EXACT_CAP_ENV} must be >= 1, got {cap}")
+        # int() refuses a decimal string past its digit limit with a ValueError too
+        problem = "is too large" if raw.strip().lstrip("+-").isdecimal() else "must be an integer"
+        raise ValueError(f"{EXACT_CAP_ENV} {problem}, got {shown}") from exc
+    if not 1 <= cap <= EXACT_CAP_MAX:
+        raise ValueError(f"{EXACT_CAP_ENV} must be between 1 and {EXACT_CAP_MAX}, got {shown}")
     return cap
+
+
+def _product(xs: list[int], lo: int, hi: int) -> int:
+    """xs[lo] * ... * xs[hi - 1] (hi > lo) as a balanced tree of products."""
+    if hi - lo == 1:
+        return xs[lo]
+    mid = (lo + hi) // 2
+    return _product(xs, lo, mid) * _product(xs, mid, hi)
 
 
 def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
@@ -74,24 +90,37 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
 
     With k = min(k, m - k), F_(m-k+1)...F_m is divided by F_1...F_k; both
     products step a Fibonacci pair by addition, and the division is
-    asserted exact, witnessing integrality on every call.
+    asserted exact, witnessing integrality on every call.  Each product
+    multiplies runs of _RUN factors one at a time, then the run products
+    as a balanced tree: multiplying a growing product by one factor at a
+    time costs time quadratic in its size, while a tree multiplies
+    operands of like size, which Karatsuba speeds up.  ``cap`` may not
+    exceed EXACT_CAP_MAX.
     """
     if cap is None:
         cap = exact_cap()
+    elif cap > EXACT_CAP_MAX:
+        raise ValueError(f"exact tier cap must be <= {EXACT_CAP_MAX}, got {show_int(cap)}")
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if m > cap:
         raise ValueError(f"exact tier capped at m <= {cap}, got m={show_int(m)}")
     k = min(k, m - k)
-    num = den = 1
     top, top_next = fib(m - k), fib(m - k + 1)
+    if not k:
+        return 1
+    nums, dens = [], []
     low, low_next = 0, 1
-    for _ in range(k):
-        top, top_next = top_next, top + top_next
-        low, low_next = low_next, low + low_next
-        num *= top
-        den *= low
-    q, r = divmod(num, den)
+    for start in range(0, k, _RUN):
+        num = den = 1
+        for _ in range(start, min(start + _RUN, k)):
+            top, top_next = top_next, top + top_next
+            low, low_next = low_next, low + low_next
+            num *= top
+            den *= low
+        nums.append(num)
+        dens.append(den)
+    q, r = divmod(_product(nums, 0, len(nums)), _product(dens, 0, len(dens)))
     if r:
         raise FormulaIntegrityError(f"Fibonomial product not an integer at (m={m}, k={k})")
     return q

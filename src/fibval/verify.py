@@ -35,7 +35,7 @@ from .formulas import (
     nu_ratio_prime_powers,
     qualified_label,
 )
-from .oracle import MODULAR_CAP, OracleTier, exact_cap, nu_fibonomial_oracle
+from .oracle import EXACT_CAP_MAX, MODULAR_CAP, OracleTier, exact_cap, nu_fibonomial_oracle
 from .rank import rank_of_apparition
 
 INTEGRITY_BRANCH = "integrity-error"
@@ -155,7 +155,8 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
     exact = config.tier is OracleTier.EXACT
     cap = exact_cap() if exact else MODULAR_CAP
     if central_top > cap:
-        hint = "raise FIBVAL_EXACT_CAP or shrink the grid" if exact else "shrink the grid"
+        hint = (f"raise FIBVAL_EXACT_CAP (at most {EXACT_CAP_MAX}) or shrink the grid" if exact
+                else "shrink the grid")
         raise ValueError(f"{config.tier.value}-tier grid reaches index {central_top} "
                          f"beyond the cap {cap}; {hint}")
     sweep_cells = 0  # all rows but one per exponent pair have a cell: the walk stays short

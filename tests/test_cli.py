@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import fibval.formulas as formulas
 from fibval import oracle, rank
 from fibval.cli import N_MAX_CAP, _parse_argv, build_parser, console_main, main
+from fibval.oracle import EXACT_CAP_MAX
 from fibval.verify import SWEEP_CELL_CAP
 
 
@@ -430,6 +431,20 @@ def test_verify_exact_tier_beyond_cap(capsys):
                        "--n-max", "50", "--tier", "exact")
     assert code == 2
     assert "FIBVAL_EXACT_CAP" in err
+    assert f"at most {EXACT_CAP_MAX}" in err
+
+
+def test_eval_oracle_with_an_exact_cap_past_the_ceiling_is_a_fast_usage_error(
+        capsys, monkeypatch):
+    # without the ceiling this would start building a ~10^15-bit integer
+    monkeypatch.setenv("FIBVAL_EXACT_CAP", "1000000000")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--p", "3", "--m", "100000000", "--k", "50000000",
+                         "--method", "oracle")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"between 1 and {EXACT_CAP_MAX}" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from fibval import oracle
 from fibval.arith import FormulaIntegrityError, fib, fib_mod
 from fibval.oracle import (
     EXACT_CAP_DEFAULT,
+    EXACT_CAP_MAX,
     MODULAR_CAP,
     OracleTier,
     exact_cap,
@@ -73,11 +74,50 @@ def test_exact_non_integral_quotient_raises(monkeypatch):
         fibonomial_exact(20, 10)
 
 
+@pytest.mark.parametrize("k", [31, 32, 33, 63, 64, 65, 97])  # either side of each run boundary
+@pytest.mark.parametrize("extra", [0, 7])
+def test_exact_matches_definition_across_run_boundaries(k, extra):
+    m = 2 * k + extra
+    assert fibonomial_exact(m, k, cap=m) == fibonomial_by_definition(m, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=400), st.data())
+def test_exact_matches_the_row(m, data):
+    # the two tier-A routes: products of factors, and the row recurrence
+    k = data.draw(st.integers(min_value=0, max_value=m))
+    assert fibonomial_exact(m, k) == fibonomial_row(m)[k]
+
+
+def test_exact_non_integral_quotient_raises_past_the_first_run(monkeypatch):
+    # k = 50 spans two runs; a wrong seed F_51 carries into F_52..F_100
+    monkeypatch.setattr(oracle, "fib", lambda i: fib(51) + 1 if i == 51 else fib(i))
+    with pytest.raises(FormulaIntegrityError, match="not an integer"):
+        fibonomial_exact(100, 50)
+
+
+def test_exact_seeds_through_two_fib_calls(monkeypatch):
+    # the tracer counts tier A's seeds by patching the module-global name fib
+    calls = []
+    monkeypatch.setattr(oracle, "fib", lambda i: calls.append(i) or fib(i))
+    queries = [(9, 0), (20, 10), (100, 50), (300, 97), (400, 399)]
+    for m, k in queries:
+        fibonomial_exact(m, k)
+    nu_fibonomial_oracle(3, 200, 70, OracleTier.EXACT)
+    assert len(calls) == 2 * (len(queries) + 1)
+
+
 def test_exact_cap_enforced():
     with pytest.raises(ValueError):
         fibonomial_exact(EXACT_CAP_DEFAULT + 1, 3)
     with pytest.raises(ValueError):
         fibonomial_exact(50, 3, cap=40)
+    # a cap argument is bounded as the environment variable is
+    with pytest.raises(ValueError, match=f"cap must be <= {EXACT_CAP_MAX}"):
+        fibonomial_exact(5, 2, cap=EXACT_CAP_MAX + 1)
+    with pytest.raises(ValueError, match=f"cap must be <= {EXACT_CAP_MAX}"):
+        nu_fibonomial_oracle(2, 5, 2, OracleTier.EXACT, cap=10**9)
+    assert fibonomial_exact(5, 2, cap=EXACT_CAP_MAX) == 15
 
 
 def test_exact_cap_env_override(monkeypatch):
@@ -90,6 +130,30 @@ def test_exact_cap_env_override(monkeypatch):
     monkeypatch.setenv("FIBVAL_EXACT_CAP", "garbage")
     with pytest.raises(ValueError):
         exact_cap()
+    monkeypatch.setenv("FIBVAL_EXACT_CAP", str(EXACT_CAP_MAX))
+    assert exact_cap() == EXACT_CAP_MAX
+    for raw in (str(EXACT_CAP_MAX + 1), "1000000000", "0"):
+        monkeypatch.setenv("FIBVAL_EXACT_CAP", raw)
+        with pytest.raises(ValueError, match=f"between 1 and {EXACT_CAP_MAX}"):
+            exact_cap()
+
+
+def test_exact_cap_too_many_digits_is_too_large(monkeypatch):
+    # int() refuses past 4300 digits with a ValueError of its own
+    raw = "9" * 5001
+    monkeypatch.setenv("FIBVAL_EXACT_CAP", raw)
+    with pytest.raises(ValueError, match="is too large") as info:
+        exact_cap()
+    assert "must be an integer" not in str(info.value)
+    assert "9" * 41 not in str(info.value)
+
+
+def test_exact_cap_error_echoes_at_most_40_characters(monkeypatch):
+    monkeypatch.setenv("FIBVAL_EXACT_CAP", "garbage" * 1000)
+    with pytest.raises(ValueError, match="must be an integer") as info:
+        exact_cap()
+    assert len(str(info.value)) < 120
+    assert "7000 characters" in str(info.value)
 
 
 def test_exact_rejects_bad_indices():
