@@ -128,8 +128,21 @@ def digit_sum(q: int, n: int) -> int:
 
 
 def _nu_factorial_int(p: int, n: int) -> int:
-    # p prime, n >= 0 assumed
-    num = n - digit_sum(p, n)
+    """nu_p(n!) = (n - s_p(n)) / (p - 1) for a prime p (Legendre's formula).
+
+    The digit sum is taken here, not through ``digit_sum``, because the
+    formulas call this several times per evaluation with arguments that
+    need no checking, except the sign: a negative n would never end the
+    digit loop, so it is a caller bug and raises.
+    """
+    if n < 0:
+        raise FormulaIntegrityError(f"nu_{p}(n!) needs n >= 0, got n={show_int(n)}")
+    if p == 2:
+        return n - n.bit_count()
+    num, q = n, n
+    while q:
+        num -= q % p
+        q //= p
     if num % (p - 1):
         raise FormulaIntegrityError(f"(n - s_p(n)) not divisible by p-1 for p={p}, n={n}")
     return num // (p - 1)

@@ -16,9 +16,19 @@ returning a plausible wrong number.
 
 Each public entry validates its input once, through two gates.  The prime
 gate is ``rank_of_apparition(p)``: its record exists only for a prime, and
-it carries everything the formulas read about p (z(p), nu_p(F_z(p)) and
-p mod 5).  The index gate is ``check_index``, which bounds p^a*n by bit
-lengths before it builds p**a and returns the index for reuse.
+it carries everything the formulas read about p: z(p), nu_p(F_z(p)) and
+p's class mod 5, which the record stores as a field set once per prime.
+The index gate is ``check_index``, which bounds p^a*n by bit lengths
+before it builds p**a and returns the index for reuse.
+
+Every ``Theorem`` and ``DivReason`` member, and the ``Mod5Class`` members
+from ``rank``, is bound once at import under a private module name
+(``_C2ADIC``, ``_FORMULA_ZERO``, ``_PLUS_MINUS_1``, ...), and the function
+bodies read those names.  On CPython 3.11 a read of ``Theorem.X`` goes
+through the enum type's ``__getattr__`` (0.10-0.15 us) where a module
+global costs about 0.01 us, and one evaluation makes several such reads.
+The formulas themselves stay module globals looked up at call time, so
+that a tracer can patch them.
 
 Results are built as plain tuples: every ``BranchTrace`` and ``Valuation``
 comes from ``tuple.__new__`` with its fields positionally in declared
@@ -41,7 +51,7 @@ from .arith import (
     digit_sum,
     show_int,
 )
-from .rank import Mod5Class, RankRecord, rank_of_apparition
+from .rank import _PLUS_MINUS_1, _PLUS_MINUS_2, RankRecord, rank_of_apparition
 
 # Residues and floors use a fixed-width fast path; larger indices would
 # need new caps on the oracle side anyway.
@@ -61,6 +71,15 @@ class Theorem(Enum):
     C2ADIC = "C2adic"
     C5ADIC = "C5adic"
     CP = "Cp"
+
+
+_T2ADIC_GENERAL = Theorem.T2ADIC_GENERAL
+_T5ADIC = Theorem.T5ADIC
+_TP_GENERAL_MK = Theorem.TP_GENERAL_MK
+_TRATIO = Theorem.TRATIO
+_C2ADIC = Theorem.C2ADIC
+_C5ADIC = Theorem.C5ADIC
+_CP = Theorem.CP
 
 
 class BranchTrace(NamedTuple):
@@ -91,7 +110,7 @@ class BranchTrace(NamedTuple):
     k_prime: int | None = None
 
     def describe(self) -> str:
-        if self.theorem is Theorem.T2ADIC_GENERAL and self.r is not None:
+        if self.theorem is _T2ADIC_GENERAL and self.r is not None:
             return f"{self.branch_label}, ({self.r},{self.s})"
         return self.branch_label
 
@@ -188,8 +207,7 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
     if m > INDEX_CAP:
         raise ValueError(f"m={show_int(m)} exceeds the 2^63 cap")
     if k == 0 or k == m:
-        theorem = Theorem.T2ADIC_GENERAL if p == 2 else (
-            Theorem.T5ADIC if p == 5 else Theorem.TP_GENERAL_MK)
+        theorem = _T2ADIC_GENERAL if p == 2 else _T5ADIC if p == 5 else _TP_GENERAL_MK
         return tuple.__new__(Valuation, (0,)), tuple.__new__(BranchTrace, (
             theorem, BOUNDARY_LABEL, None, None, None, None, None, None, None, None, None,
             None, None))
@@ -224,7 +242,7 @@ def _nu2_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p=2, m={m}, k={k})")
     trace = tuple.__new__(BranchTrace, (
-        Theorem.T2ADIC_GENERAL, label, 6, r, s, a2, None, None, 3, 1, None, None, None))
+        _T2ADIC_GENERAL, label, 6, r, s, a2, None, None, 3, 1, None, None, None))
     return tuple.__new__(Valuation, (value,)), trace
 
 
@@ -232,7 +250,7 @@ def _nu5_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     # 5-adically the Fibonomial and the ordinary binomial agree.
     value = _binom_val(5, m, k)
     trace = tuple.__new__(BranchTrace, (
-        Theorem.T5ADIC, "binomial", 5, None, None, None, None, None, 5, 1, None, None, None))
+        _T5ADIC, "binomial", 5, None, None, None, None, None, 5, 1, None, None, None))
     return tuple.__new__(Valuation, (value,)), trace
 
 
@@ -247,7 +265,7 @@ def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrac
     else:
         label = "r>=s"
     trace = tuple.__new__(BranchTrace, (
-        Theorem.TP_GENERAL_MK, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
+        _TP_GENERAL_MK, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
     return tuple.__new__(Valuation, (value,)), trace
 
 
@@ -313,7 +331,7 @@ def _nu2_ratio(l1: int, b: int, l2: int, a: int) -> tuple[Valuation, BranchTrace
     if value < 0:
         raise FormulaIntegrityError(f"negative ratio valuation at (2, {l1}, {b}, {l2}, {a})")
     trace = tuple.__new__(BranchTrace, (
-        Theorem.TRATIO, label, 3, l1 * pow(2, b, 3) % 3, l2 * pow(2, a, 3) % 3,
+        _TRATIO, label, 3, l1 * pow(2, b, 3) % 3, l2 * pow(2, a, 3) % 3,
         None, None, None, 3, 1, None, m2, k2))
     return tuple.__new__(Valuation, (value,)), trace
 
@@ -326,7 +344,7 @@ def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
     r = l1 * pow(p, b, z) % z
     s = l2 * pow(p, a, z) % z
     binom = _binom_val(p, mp, kp)
-    if rec.mod5 is Mod5Class.PLUS_MINUS_1:
+    if rec.mod5 is _PLUS_MINUS_1:
         if r < s:
             value = a + _gap_val(p, mp, kp, "pm1 r<s") + rec.nu_fz + binom
             label = "pm1 r<s"
@@ -354,7 +372,7 @@ def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
     if value < 0:
         raise FormulaIntegrityError(f"negative ratio valuation at ({p}, {l1}, {b}, {l2}, {a})")
     trace = tuple.__new__(BranchTrace, (
-        Theorem.TRATIO, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
+        _TRATIO, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
     return tuple.__new__(Valuation, (value,)), trace
 
 
@@ -405,7 +423,7 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
         else:
             shift, add = DELTA2_ODD_A_CEIL[res6]
             delta = (b + shift + 1) // 2 + add
-            label = f"a odd, n%6={res6}"
+            label = "a odd, n%6=2" if res6 == 2 else "a odd, n%6=4"
     check = _delta2_iverson(a, n, res6, b)
     if delta != check:
         raise FormulaIntegrityError(
@@ -414,7 +432,7 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p=2, a={a}, n={n})")
     trace = tuple.__new__(BranchTrace, (
-        Theorem.C2ADIC, label, 6, index % 6, res6, A, delta, eps, 3, 1, b, None, None))
+        _C2ADIC, label, 6, index % 6, res6, A, delta, eps, 3, 1, b, None, None))
     return tuple.__new__(Valuation, (value,)), trace
 
 
@@ -428,7 +446,7 @@ def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     if value < 1:
         raise FormulaIntegrityError(f"5-adic central valuation must be >= 1, got {value}")
     trace = tuple.__new__(BranchTrace, (
-        Theorem.C5ADIC, "s5 digit sum", 5, 0, n % 5, A, None, None, 5, 1, _nu_int(5, n),
+        _C5ADIC, "s5 digit sum", 5, 0, n % 5, A, None, None, 5, 1, _nu_int(5, n),
         None, None))
     return tuple.__new__(Valuation, (value,)), trace
 
@@ -451,7 +469,7 @@ def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
     A = (index - n) // (p**b * z)
     spA = digit_sum(p, A)
     delta: int | None = None
-    if rec.mod5 is Mod5Class.PLUS_MINUS_1:
+    if rec.mod5 is _PLUS_MINUS_1:
         if r != s:
             raise FormulaIntegrityError(f"r != s for p={p} = +-1 (mod 5)")
         den = z * (p - 1)
@@ -491,7 +509,7 @@ def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p={p}, a={a}, n={n})")
     trace = tuple.__new__(BranchTrace, (
-        Theorem.CP, label, z, r, s, A, delta, None, z, nu_fz, b, None, None))
+        _CP, label, z, r, s, A, delta, None, z, nu_fz, b, None, None))
     return tuple.__new__(Valuation, (value,)), trace
 
 
@@ -555,6 +573,17 @@ class DivReason(Enum):
     FORMULA_ZERO = "formula_zero"
 
 
+_Z_DIVIDES_N = DivReason.Z_DIVIDES_N
+_P_EQUALS_5 = DivReason.P_EQUALS_5
+_THRESHOLD_EVEN_A = DivReason.THRESHOLD_EVEN_A
+_R_LESS_S = DivReason.R_LESS_S
+_R_NEQ_S = DivReason.R_NEQ_S
+_THRESHOLD_ODD_A = DivReason.THRESHOLD_ODD_A
+_THRESHOLD_PM1 = DivReason.THRESHOLD_PM1
+_FORMULA_POSITIVE = DivReason.FORMULA_POSITIVE
+_FORMULA_ZERO = DivReason.FORMULA_ZERO
+
+
 def divides_p_central(p: int, a: int, n: int) -> tuple[bool, DivReason]:
     """Does p divide the (p^a*n, n) Fibonomial coefficient?
 
@@ -567,43 +596,43 @@ def divides_p_central(p: int, a: int, n: int) -> tuple[bool, DivReason]:
     rec = rank_of_apparition(p)
     index = check_index(p, a, n)
     if p == 5:
-        return True, DivReason.P_EQUALS_5
+        return True, _P_EQUALS_5
     if p == 2:
         if n % 3 == 0:
-            return True, DivReason.Z_DIVIDES_N
+            return True, _Z_DIVIDES_N
         if nu2_central(a, n)[0].value > 0:
-            return True, DivReason.FORMULA_POSITIVE
-        return False, DivReason.FORMULA_ZERO
+            return True, _FORMULA_POSITIVE
+        return False, _FORMULA_ZERO
     z = rec.z
     if n % z == 0:
-        return True, DivReason.Z_DIVIDES_N
-    if rec.mod5 is Mod5Class.PLUS_MINUS_2:
+        return True, _Z_DIVIDES_N
+    if rec.mod5 is _PLUS_MINUS_2:
         b = _nu_int(p, n)
         A = (index - n) // (p**b * z)
         if a % 2 == 0:
             if digit_sum(p, A) > (a // 2) * (p - 1):
-                return True, DivReason.THRESHOLD_EVEN_A
-            return False, DivReason.FORMULA_ZERO
+                return True, _THRESHOLD_EVEN_A
+            return False, _FORMULA_ZERO
         r = index % z
         s = n % z
         if b == 0:
             if r < s:
-                return True, DivReason.R_LESS_S
+                return True, _R_LESS_S
         elif r != s:
-            return True, DivReason.R_NEQ_S
+            return True, _R_NEQ_S
         if digit_sum(p, A) >= ((a + 1) // 2) * (p - 1):
-            return True, DivReason.THRESHOLD_ODD_A
-        return False, DivReason.FORMULA_ZERO
+            return True, _THRESHOLD_ODD_A
+        return False, _FORMULA_ZERO
     if a == 1:
         den = p**_nu_int(p, n) * z
         num = n * (p - 1)
         if num % den:
             raise FormulaIntegrityError(f"pm1 threshold quantity not integral at (p={p}, n={n})")
         if digit_sum(p, num // den) >= p - 1:
-            return True, DivReason.THRESHOLD_PM1
-        return False, DivReason.FORMULA_ZERO
+            return True, _THRESHOLD_PM1
+        return False, _FORMULA_ZERO
     # p = +-1 (mod 5) with a >= 2: no criterion applies, compute the value
     value = nup_central(p, a, n)[0].value
     if value > 0:
-        return True, DivReason.FORMULA_POSITIVE
-    return False, DivReason.FORMULA_ZERO
+        return True, _FORMULA_POSITIVE
+    return False, _FORMULA_ZERO

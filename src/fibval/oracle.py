@@ -60,6 +60,12 @@ class OracleTier(Enum):
     MODULAR = "modular"
 
 
+# Bound once: a read of OracleTier.X goes through the enum type's __getattr__,
+# about ten times a module-global read, and every oracle call compares its tier.
+_EXACT = OracleTier.EXACT
+_MODULAR = OracleTier.MODULAR
+
+
 def exact_cap() -> int:
     """Tier-A index cap; overridable via the FIBVAL_EXACT_CAP env var, up to EXACT_CAP_MAX."""
     raw = os.environ.get(EXACT_CAP_ENV)
@@ -94,11 +100,13 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     multiplies runs of _RUN factors one at a time, then the run products
     as a balanced tree: multiplying a growing product by one factor at a
     time costs time quadratic in its size, while a tree multiplies
-    operands of like size, which Karatsuba speeds up.  ``cap`` may not
-    exceed EXACT_CAP_MAX.
+    operands of like size, which Karatsuba speeds up.  ``cap`` must lie
+    between 1 and EXACT_CAP_MAX, as FIBVAL_EXACT_CAP must.
     """
     if cap is None:
         cap = exact_cap()
+    elif cap < 1:
+        raise ValueError(f"exact tier cap must be >= 1, got {show_int(cap)}")
     elif cap > EXACT_CAP_MAX:
         raise ValueError(f"exact tier cap must be <= {EXACT_CAP_MAX}, got {show_int(cap)}")
     if not 0 <= k <= m:
@@ -232,13 +240,20 @@ def _valuation_prefix(p: int, j: int) -> array:
 
 def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.MODULAR,
                          cap: int | None = None) -> Valuation:
-    """Ground-truth nu_p of a Fibonomial coefficient via the chosen tier."""
-    if tier is OracleTier.EXACT or p not in _val_sums:
+    """Ground-truth nu_p of a Fibonomial coefficient via the chosen tier.
+
+    ``cap`` is tier A's index cap (see ``fibonomial_exact``); the modular
+    tier is capped at MODULAR_CAP and rejects any ``cap`` given.
+    """
+    if tier is _EXACT or p not in _val_sums:
         require_prime(p)
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
-    if tier is OracleTier.EXACT:
+    if tier is _EXACT:
         return tuple.__new__(Valuation, (_nu_int(p, fibonomial_exact(m, k, cap=cap)),))
+    if cap is not None:
+        raise ValueError(f"the modular tier takes no cap (it is capped at m <= {MODULAR_CAP}), "
+                         f"got cap={show_int(cap)}")
     if m > MODULAR_CAP:
         raise ValueError(f"modular tier capped at m <= {MODULAR_CAP}, got m={show_int(m)}")
     sums = _valuation_prefix(p, m)

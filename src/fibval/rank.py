@@ -11,7 +11,14 @@ Records are cached per prime because the formula layer queries the same
 handful of primes millions of times during a grid run.  A record exists only
 for a prime: a cache miss runs ``require_prime`` first, so the record is the
 formula layer's proof that p is prime, and p's class mod 5 is read from it
-without a second primality test.
+without a second primality test.  The record stores that class as a field,
+set once per prime, so a read is a slot load rather than a residue test.
+
+Each ``Mod5Class`` member is also bound at import under a private module
+name (``_PLUS_MINUS_1``, ...), which the formula layer imports: on CPython
+3.11 reading ``Mod5Class.X`` goes through the enum type's ``__getattr__``,
+about ten times the cost of a module-global read, and the formulas compare
+the class on every evaluation.
 """
 
 from __future__ import annotations
@@ -38,20 +45,17 @@ class Mod5Class(Enum):
     IS_5 = "is_5"
 
 
+_PLUS_MINUS_1 = Mod5Class.PLUS_MINUS_1
+_PLUS_MINUS_2 = Mod5Class.PLUS_MINUS_2
+_IS_5 = Mod5Class.IS_5
+
+
 @dataclass(frozen=True, slots=True)
 class RankRecord:
     p: int
     z: int       # smallest index with p | F_z
     nu_fz: int   # nu_p(F_z), always >= 1
-
-    @property
-    def mod5(self) -> Mod5Class:
-        """Residue class of p mod 5 that selects the closed-form branch."""
-        if self.p == 5:
-            return Mod5Class.IS_5
-        if self.p % 5 in (1, 4):
-            return Mod5Class.PLUS_MINUS_1
-        return Mod5Class.PLUS_MINUS_2
+    mod5: Mod5Class  # residue class of p mod 5 that selects the closed-form branch
 
 
 _cache: dict[int, RankRecord] = {}
@@ -73,10 +77,16 @@ def rank_of_apparition(p: int) -> RankRecord:
         return rec
     require_prime(p)
     z = _descend_rank(p)
-    rec = RankRecord(p, z, _nu_of_fz(p, z))
+    rec = RankRecord(p, z, _nu_of_fz(p, z), _mod5_class(p))
     with _cache_lock:
         _cache.setdefault(p, rec)
     return rec
+
+
+def _mod5_class(p: int) -> Mod5Class:
+    if p == 5:
+        return _IS_5
+    return _PLUS_MINUS_1 if p % 5 in (1, 4) else _PLUS_MINUS_2
 
 
 def _descend_rank(p: int) -> int:

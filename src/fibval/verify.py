@@ -35,7 +35,14 @@ from .formulas import (
     nu_ratio_prime_powers,
     qualified_label,
 )
-from .oracle import EXACT_CAP_MAX, MODULAR_CAP, OracleTier, exact_cap, nu_fibonomial_oracle
+from .oracle import (
+    _MODULAR,
+    EXACT_CAP_MAX,
+    MODULAR_CAP,
+    OracleTier,
+    exact_cap,
+    nu_fibonomial_oracle,
+)
 from .rank import rank_of_apparition
 
 INTEGRITY_BRANCH = "integrity-error"
@@ -238,7 +245,7 @@ def _general_sweep(config: VerifyConfig, compare) -> int:
         for m, ks in _general_rows(config, p):
             cells += len(ks)
             for k in ks:
-                ora = nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
+                ora = nu_fibonomial_oracle(p, m, k, _MODULAR).value
                 compare(nu_fibonomial_formula, (p, m, k), ora,
                         p, None, None, m, k, "general_sweep")
     return cells
@@ -266,7 +273,7 @@ def _ratio_sweep(config: VerifyConfig, compare) -> int:
             cells += len(l2s)
             for l2 in l2s:
                 k = l2 * p**a
-                ora = nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
+                ora = nu_fibonomial_oracle(p, m, k, _MODULAR).value
                 compare(nu_ratio_prime_powers, (p, l1, b, l2, a), ora,
                         p, a, None, m, k, "ratio_sweep")
     return cells

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fibval.arith import (
+    FormulaIntegrityError,
     _nu_factorial_int,
     _nu_int,
     digit_sum,
@@ -128,13 +131,35 @@ def test_nu_factorial_both_forms_up_to_1e5():
         for n in range(0, 10**5 + 1, 1):
             expected = legendre_sum(p, n)
             assert (n - digit_sum(p, n)) // (p - 1) == expected
-            if n % 4096 == 0:  # the library path sampled, identity checked above
-                assert _nu_factorial_int(p, n) == expected
+            assert _nu_factorial_int(p, n) == expected
 
 
-@given(st.sampled_from(SMALL_PRIMES), st.integers(min_value=0, max_value=10**7))
+@given(st.sampled_from(SMALL_PRIMES), st.integers(min_value=0, max_value=2**63))
 def test_nu_factorial_matches_legendre_sum(p, n):
     assert _nu_factorial_int(p, n) == legendre_sum(p, n)
+
+
+def test_nu_factorial_matches_legendre_sum_at_every_bit_length():
+    # Hypothesis draws most integers below 2^20 even with a 2^63 bound, so
+    # large n are sampled here: 20 per bit length, p^k - 1 (every digit p - 1)
+    # and the top index 2^63
+    rng = random.Random(63)
+    for p in SMALL_PRIMES:
+        ns = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in range(1, 64) for _ in range(20)]
+        pk = p
+        while pk <= 2**63:
+            ns.append(pk - 1)
+            pk *= p
+        ns.append(2**63)
+        for n in ns:
+            assert _nu_factorial_int(p, n) == legendre_sum(p, n), (p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_nu_factorial_rejects_negative_n(p):
+    # a negative n would never end the digit loop
+    with pytest.raises(FormulaIntegrityError, match="n >= 0"):
+        _nu_factorial_int(p, -1)
 
 
 def test_is_prime_spot_checks():

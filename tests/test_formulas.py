@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibval.formulas as formulas
+import fibval.oracle as oracle_module
+import fibval.verify as verify
+from fibval import rank
 from fibval.arith import FormulaIntegrityError, Valuation, _nu_factorial_int
 from fibval.formulas import (
     BOUNDARY_LABEL,
@@ -26,7 +29,7 @@ from fibval.formulas import (
     nup_central,
 )
 from fibval.oracle import OracleTier, nu_fibonomial_oracle
-from fibval.rank import rank_of_apparition
+from fibval.rank import Mod5Class, rank_of_apparition
 from fibval.verify import VerifyConfig
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -499,6 +502,18 @@ GOLDEN_TRACES = [
 
 def test_trace_field_order():
     assert BranchTrace._fields == TRACE_FIELDS
+
+
+def test_hot_path_enum_names_are_bound_to_their_members():
+    # the formula, oracle and verify bodies read members through these
+    # private names; every member of each enum must be bound to itself
+    for module, enum in ((formulas, Theorem), (formulas, DivReason),
+                         (rank, Mod5Class), (oracle_module, OracleTier)):
+        for member in enum:
+            assert getattr(module, "_" + member.name) is member, (module.__name__, member)
+    assert formulas._PLUS_MINUS_1 is Mod5Class.PLUS_MINUS_1
+    assert formulas._PLUS_MINUS_2 is Mod5Class.PLUS_MINUS_2
+    assert verify._MODULAR is OracleTier.MODULAR
 
 
 @pytest.mark.parametrize("fn, args, value, fields", GOLDEN_TRACES)

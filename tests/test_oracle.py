@@ -118,6 +118,12 @@ def test_exact_cap_enforced():
     with pytest.raises(ValueError, match=f"cap must be <= {EXACT_CAP_MAX}"):
         nu_fibonomial_oracle(2, 5, 2, OracleTier.EXACT, cap=10**9)
     assert fibonomial_exact(5, 2, cap=EXACT_CAP_MAX) == 15
+    # a cap below 1 is blamed itself, not the index, even where m fits under it
+    with pytest.raises(ValueError, match="exact tier cap must be >= 1, got -3"):
+        fibonomial_exact(5, 2, cap=-3)
+    with pytest.raises(ValueError, match="exact tier cap must be >= 1, got 0"):
+        fibonomial_exact(0, 0, cap=0)
+    assert fibonomial_exact(1, 1, cap=1) == 1
 
 
 def test_exact_cap_env_override(monkeypatch):
@@ -197,6 +203,10 @@ def test_oracle_examples():
 def test_modular_cap_enforced():
     with pytest.raises(ValueError):
         nu_fibonomial_oracle(2, MODULAR_CAP + 1, 1, OracleTier.MODULAR)
+    # the cap argument is tier A's; the modular tier refuses one
+    for cap in (10**9, EXACT_CAP_DEFAULT, 0):
+        with pytest.raises(ValueError, match="modular tier takes no cap"):
+            nu_fibonomial_oracle(2, 5, 2, OracleTier.MODULAR, cap=cap)
 
 
 def test_tiers_agree_up_to_300():

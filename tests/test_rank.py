@@ -63,6 +63,13 @@ def test_congruence_class_examples():
     assert rank_of_apparition(19).mod5 is Mod5Class.PLUS_MINUS_1
 
 
+def test_congruence_class_matches_p_mod_5_below_1e4():
+    classes = {0: Mod5Class.IS_5, 1: Mod5Class.PLUS_MINUS_1, 4: Mod5Class.PLUS_MINUS_1,
+               2: Mod5Class.PLUS_MINUS_2, 3: Mod5Class.PLUS_MINUS_2}
+    for p in sieve(10**4):  # 2 and 5 included
+        assert rank_of_apparition(p).mod5 is classes[p % 5], p
+
+
 def test_side_divisibility_up_to_1e4():
     for p in sieve(10**4):
         rec = rank_of_apparition(p)
