@@ -102,13 +102,31 @@ def fib_mod(m: int, modulus: int) -> int:
 
 
 def _nu_int(p: int, x: int) -> int:
-    # x != 0 assumed: nu_p(0) is infinite, and the loop below never ends on it
-    if x < 0:
-        x = -x
+    # x > 0 assumed: nu_p(0) is infinite, and the loop below never ends on it
     e = 0
     while x % p == 0:
         x //= p
         e += 1
+    return e
+
+
+# Hard stop for the nu_p(F_i) exponent search.  No prime with
+# nu_p(F_z(p)) >= 2 is known below 2^64, so nu_p(F_i) <= 63 for every
+# index i < 2^63 (p = 2 at i = 3*2^61), and hitting this is a bug.
+_EXPONENT_CAP = 64
+
+
+def _index_valuation(p: int, i: int) -> int:
+    """nu_p(F_i) for i >= 1 by escalating prime-power residue tests."""
+    if fib_mod(i, p) != 0:
+        return 0
+    e = 1
+    modulus = p * p
+    while fib_mod(i, modulus) == 0:
+        e += 1
+        if e >= _EXPONENT_CAP:
+            raise FormulaIntegrityError(f"nu_{p}(F_{i}) reached the hard cap {_EXPONENT_CAP}")
+        modulus *= p
     return e
 
 

@@ -17,18 +17,19 @@ for p >= 2^63), seeds the pair (F_i, F_{i+1}) mod M by fast doubling at the
 end of the prefix built so far, and steps it with one addition and one
 conditional subtraction per index.  The residue r = F_i mod M gives the
 valuation exactly whenever r != 0: nu_p(F_i) = nu_p(r), since nu_p(r) < E.
-Only r = 0 (p^E | F_i) falls back to testing F_i against increasing prime
-powers with fast doubling, up to a hard exponent cap.  When a build ends at
-index j, the stepped pair is compared with F_j and F_{j+1} mod M by fast
-doubling; a difference raises FormulaIntegrityError and the build is
-discarded.  A build runs to at least twice the prefix's length (within
-MODULAR_CAP), so a prefix grown a few indices at a time is seeded and
-checked O(log j) times.  Each prefix is an array('q') of running sums, 8
-bytes an index.  The primality of p is tested before its first build, so
-a key of the prefix table is a prime checked once.  After a build, whole
-prefixes of other primes are evicted, oldest-built first, while the table
-holds more than PREFIX_ENTRY_CAP entries; an evicted prime is checked and
-built again on its next query.
+Only r = 0 (p^E | F_i) falls back to ``arith._index_valuation``, which
+tests F_i against increasing prime powers with fast doubling, up to a hard
+exponent cap; that search lives in ``arith`` because the rank layer reads
+nu_p(F_z(p)) from it too.  When a build ends at index j, the stepped pair
+is compared with F_j and F_{j+1} mod M by fast doubling; a difference
+raises FormulaIntegrityError and the build is discarded.  A build runs to
+at least twice the prefix's length (within MODULAR_CAP), so a prefix grown
+a few indices at a time is seeded and checked O(log j) times.  Each prefix
+is an array('q') of running sums, 8 bytes an index.  The primality of p is
+tested before its first build, so a key of the prefix table is a prime
+checked once.  After a build, whole prefixes of other primes are evicted,
+oldest-built first, while the table holds more than PREFIX_ENTRY_CAP
+entries; an evicted prime is checked and built again on its next query.
 
 Neither route knows anything about ranks of apparition or the closed-form
 layer; this module must never import fibval.formulas.
@@ -41,7 +42,16 @@ import threading
 from array import array
 from enum import Enum
 
-from .arith import FormulaIntegrityError, Valuation, _nu_int, fib, fib_mod, require_prime, show_int
+from .arith import (
+    FormulaIntegrityError,
+    Valuation,
+    _index_valuation,
+    _nu_int,
+    fib,
+    fib_mod,
+    require_prime,
+    show_int,
+)
 
 EXACT_CAP_DEFAULT = 400
 EXACT_CAP_ENV = "FIBVAL_EXACT_CAP"
@@ -50,7 +60,6 @@ EXACT_CAP_MAX = 2000
 MODULAR_CAP = 10**7
 # most tier-B prefix entries over all primes (8 bytes each): two full prefixes
 PREFIX_ENTRY_CAP = 2 * (MODULAR_CAP + 1)
-_EXPONENT_CAP = 64
 _SWEEP_BOUND = 1 << 63
 _RUN = 32  # tier-A factors multiplied one at a time before the runs are paired
 
@@ -168,20 +177,6 @@ def fibonomial_row(m: int) -> list[int]:
 _val_sums: dict[int, array] = {}
 _entries = 0
 _sums_lock = threading.Lock()
-
-
-def _index_valuation(p: int, i: int) -> int:
-    """nu_p(F_i) by escalating prime-power residue tests."""
-    if fib_mod(i, p) != 0:
-        return 0
-    e = 1
-    modulus = p * p
-    while fib_mod(i, modulus) == 0:
-        e += 1
-        if e >= _EXPONENT_CAP:
-            raise FormulaIntegrityError(f"nu_{p}(F_{i}) reached the hard cap {_EXPONENT_CAP}")
-        modulus *= p
-    return e
 
 
 def _sweep_modulus(p: int) -> int:

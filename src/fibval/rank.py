@@ -13,6 +13,9 @@ for a prime: a cache miss runs ``require_prime`` first, so the record is the
 formula layer's proof that p is prime, and p's class mod 5 is read from it
 without a second primality test.  The record stores that class as a field,
 set once per prime, so a read is a slot load rather than a residue test.
+This is the package's one test of p mod 5: ``verify`` reads the class from
+the record too.  nu_p(F_z) comes from ``arith._index_valuation``, the
+prime-power search that the tier-B oracle also runs.
 
 Each ``Mod5Class`` member is also bound at import under a private module
 name (``_PLUS_MINUS_1``, ...), which the formula layer imports: on CPython
@@ -28,11 +31,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import FormulaIntegrityError, fib_mod, is_prime, require_prime
-
-# Hard stop for the nu_p(F_z) exponent search.  No prime with
-# nu_p(F_z(p)) >= 2 is known below 2^64, so hitting this is a bug.
-_NU_FZ_CAP = 64
+from .arith import FormulaIntegrityError, _index_valuation, fib_mod, is_prime, require_prime
 
 # Trial division runs over 2 and the odd numbers below this bound; what is
 # left then has no factor below it, so a cofactor under its square is prime.
@@ -76,43 +75,26 @@ def rank_of_apparition(p: int) -> RankRecord:
     if rec is not None:
         return rec
     require_prime(p)
-    z = _descend_rank(p)
-    rec = RankRecord(p, z, _nu_of_fz(p, z), _mod5_class(p))
+    if p == 5:
+        mod5, z = _IS_5, _descend_rank(p, 5)
+    elif p % 5 in (1, 4):
+        mod5, z = _PLUS_MINUS_1, _descend_rank(p, p - 1)
+    else:
+        mod5, z = _PLUS_MINUS_2, _descend_rank(p, p + 1)
+    rec = RankRecord(p, z, _index_valuation(p, z), mod5)
     with _cache_lock:
         _cache.setdefault(p, rec)
     return rec
 
 
-def _mod5_class(p: int) -> Mod5Class:
-    if p == 5:
-        return _IS_5
-    return _PLUS_MINUS_1 if p % 5 in (1, 4) else _PLUS_MINUS_2
-
-
-def _descend_rank(p: int) -> int:
-    if p % 5 in (2, 3):
-        z = p + 1
-    elif p % 5 in (1, 4):
-        z = p - 1
-    else:  # p = 5
-        z = 5
+def _descend_rank(p: int, z: int) -> int:
+    """z(p), the least divisor d of z = p - (5/p) with p | F_d."""
     if fib_mod(z, p):
         raise FormulaIntegrityError(f"F_{z} is not divisible by p={p}")
     for q in _prime_factors(z):
         while z % q == 0 and fib_mod(z // q, p) == 0:
             z //= q
     return z
-
-
-def _nu_of_fz(p: int, z: int) -> int:
-    e = 1
-    modulus = p * p
-    while fib_mod(z, modulus) == 0:
-        e += 1
-        if e >= _NU_FZ_CAP:
-            raise FormulaIntegrityError(f"nu_{p}(F_{z}) reached the hard cap {_NU_FZ_CAP}")
-        modulus *= p
-    return e
 
 
 def _prime_factors(n: int) -> list[int]:

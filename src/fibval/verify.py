@@ -43,7 +43,7 @@ from .oracle import (
     exact_cap,
     nu_fibonomial_oracle,
 )
-from .rank import rank_of_apparition
+from .rank import _PLUS_MINUS_1, rank_of_apparition
 
 INTEGRITY_BRANCH = "integrity-error"
 SWEEP_CELL_CAP = 10**6  # most cells both sweeps may ask for; the acceptance grid asks for 11,299
@@ -129,7 +129,7 @@ def _prime_classes(p: int) -> tuple[str, ...]:
     """The BRANCH_REACH prime classes that contain the prime p."""
     if p in (2, 5):
         return (str(p),)
-    return ("odd", "pm1" if p % 5 in (1, 4) else "pm2")
+    return ("odd", "pm1" if rank_of_apparition(p).mod5 is _PLUS_MINUS_1 else "pm2")
 
 
 def expected_labels(config: VerifyConfig) -> tuple[str, ...]:

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fibval import arith
 from fibval.arith import (
     FormulaIntegrityError,
+    _index_valuation,
     _nu_factorial_int,
     _nu_int,
     digit_sum,
@@ -51,6 +53,8 @@ def test_fib_matches_recurrence_up_to_1e4(fib_seq):
 def test_fib_rejects_negative():
     with pytest.raises(ValueError):
         fib(-1)
+    with pytest.raises(ValueError):
+        fib_mod(-1, 7)
 
 
 def test_fib_mod_examples():
@@ -89,6 +93,19 @@ def test_nu_strips_exact_power(p, e, m):
     while m % p == 0:
         m //= p
     assert _nu_int(p, p**e * m) == e
+
+
+def test_index_valuation_matches_exact_fibonacci(fib_seq):
+    for p in (2, 3, 5, 7, 11, 47):
+        for i in range(1, 1001):
+            assert _index_valuation(p, i) == _nu_int(p, fib_seq[i]), (p, i)
+
+
+def test_index_valuation_stops_at_the_exponent_cap(monkeypatch):
+    # nu_2(F_24) = nu_2(46368) = 5 runs past a cap of 3
+    monkeypatch.setattr(arith, "_EXPONENT_CAP", 3)
+    with pytest.raises(FormulaIntegrityError, match="reached the hard cap"):
+        _index_valuation(2, 24)
 
 
 def test_digit_sum_examples():

@@ -224,6 +224,18 @@ def test_scan_odd_8n_json(capsys):
     assert json.loads(out) == [1, 7, 55]
 
 
+@pytest.mark.parametrize("a", [1, 4, 5])
+def test_scan_odd_fibonomial_at_p2_matches_the_oracle(capsys, a):
+    # a = 1 reads is_odd_2n and a >= 4 reads nu2_central; tier B checks both
+    code, out, _ = run(capsys, "scan", "--p", "2", "--a", str(a), "--n-max", "60",
+                       "--predicate", "odd_fibonomial")
+    assert code == 0
+    expected = [n for n in range(1, 61)
+                if oracle.nu_fibonomial_oracle(2, 2**a * n, n).value == 0]
+    assert expected
+    assert [int(line) for line in out.splitlines()] == expected
+
+
 def test_scan_divisible(capsys):
     code, out, _ = run(capsys, "scan", "--p", "3", "--a", "1", "--n-max", "8",
                        "--predicate", "divisible")

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -84,6 +85,18 @@ def test_general_matches_oracle_small_grid():
 def test_general_matches_oracle_random(p, m, data):
     k = data.draw(st.integers(min_value=0, max_value=m))
     assert nu_fibonomial_formula(p, m, k)[0].value == oracle(p, m, k)
+
+
+def test_general_matches_oracle_at_every_bit_length():
+    # Hypothesis draws most m far below the bound 2000, so m is sampled here:
+    # 20 per bit length and the top m = 2000 for every prime, k uniform in [0, m]
+    rng = random.Random(2000)
+    for p in GRID_PRIMES:
+        ms = [rng.randint(1 << (bits - 1), min((1 << bits) - 1, 2000))
+              for bits in range(1, 12) for _ in range(20)]
+        for m in ms + [2000]:
+            k = rng.randint(0, m)
+            assert nu_fibonomial_formula(p, m, k)[0].value == oracle(p, m, k), (p, m, k)
 
 
 def test_exceptional_pair_dispatch_is_disjoint():
@@ -173,9 +186,8 @@ def test_nu2_central_legendre_cross_form():
             assert val.value == factorial_form, (a, n)
 
 
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=10**6))
-def test_nu2_central_trace_recomputable(a, n):
-    val, trace = nu2_central(a, n)
+def check_nu2_central_trace(a, n):
+    trace = nu2_central(a, n)[1]
     b = (n & -n).bit_length() - 1
     assert trace.b == b
     assert trace.r == (n << a) % 6
@@ -183,6 +195,22 @@ def test_nu2_central_trace_recomputable(a, n):
     assert trace.epsilon == (1 if n % 3 else 0)
     assert trace.A == (2**a - 1) * n // (3 * 2**b)
     assert trace.delta is not None and trace.delta >= 0
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=10**6))
+def test_nu2_central_trace_recomputable(a, n):
+    check_nu2_central_trace(a, n)
+
+
+def test_nu2_central_trace_recomputable_at_every_bit_length():
+    # Hypothesis draws most n far below the bound 10^6, so n is sampled here:
+    # 20 per bit length for every a, and the top n = 10^6
+    rng = random.Random(10**6)
+    for a in range(1, 13):
+        ns = [rng.randint(1 << (bits - 1), min((1 << bits) - 1, 10**6))
+              for bits in range(1, 21) for _ in range(20)]
+        for n in ns + [10**6]:
+            check_nu2_central_trace(a, n)
 
 
 def test_nu2_central_rejects_bad_args():
