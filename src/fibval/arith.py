@@ -88,8 +88,6 @@ def fib_mod(m: int, modulus: int) -> int:
         raise ValueError(f"Fibonacci index must be >= 0, got {show_int(m)}")
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {show_int(modulus)}")
-    if modulus == 1:
-        return 0
     a, b = 0, 1
     for i in range(m.bit_length() - 1, -1, -1):
         c = a * (2 * b - a) % modulus

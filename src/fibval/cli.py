@@ -46,13 +46,11 @@ from .formulas import (
     nu_fibonomial_formula,
 )
 from .oracle import OracleTier, exact_cap, nu_fibonomial_oracle
-from .verify import VerifyConfig, run_verify
+from .verify import EXIT_MISMATCH, INDEX_CAP_DEFAULT, VerifyConfig, run_verify
 
 EXIT_OK = 0
-EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
-EXIT_COVERAGE = 4
 
 N_MAX_CAP = 10**5  # most rows of a scan or table, which bounds the time one command takes
 
@@ -96,8 +94,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                     help="comma-separated primes, e.g. 2,3,5,7")
     ve.add_argument("--a-max", type=int, required=True, dest="a_max")
     ve.add_argument("--n-max", type=int, required=True, dest="n_max")
-    ve.add_argument("--index-cap", type=int, default=10**5, dest="index_cap",
-                    help="skip cells with p^a*n beyond this (default 100000)")
+    ve.add_argument("--index-cap", type=int, default=INDEX_CAP_DEFAULT, dest="index_cap",
+                    help="skip cells with p^a*n beyond this (default %(default)s)")
     ve.add_argument("--tier", choices=["exact", "modular"], default="modular",
                     help="oracle tier for the central grid (sweeps always use modular)")
     ve.set_defaults(func=cmd_verify)

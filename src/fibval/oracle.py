@@ -6,8 +6,7 @@ Two deliberately naive, mutually independent routes:
   quotient F_(m-k+1)...F_m / (F_1...F_k) with k = min(k, m - k), and count
   prime factors directly.  Each product multiplies runs of 32 factors, then
   the run products as a balanced tree, so that its large multiplications
-  pair operands of like size.  ``fibonomial_row`` builds a whole row m by
-  the recurrence in k instead.  Tier A keeps no state between calls; its
+  pair operands of like size.  Tier A keeps no state between calls; its
   index cap, at most EXACT_CAP_MAX, bounds the time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
@@ -143,39 +142,10 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     return q
 
 
-def fibonomial_row(m: int) -> list[int]:
-    """The row C(m, 0)_F, ..., C(m, m)_F as exact integers.
-
-    Steps C(m, k)_F = C(m, k-1)_F * F_(m-k+1) / F_k: the factors F_m,
-    F_(m-1), ... step down from fast doubling at m, the divisors F_1, F_2,
-    ... step up from F_0, and every division is asserted exact: one
-    multiplication and one division a cell, where ``fibonomial_exact``
-    multiplies min(k, m - k) factors for each cell afresh.  The tier-A cap
-    applies.
-    """
-    cap = exact_cap()
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={show_int(m)}")
-    if m > cap:
-        raise ValueError(f"exact tier capped at m <= {cap}, got m={show_int(m)}")
-    row = [1]
-    top, top_next = fib(m), fib(m + 1)  # F_(m-k+1) and F_(m-k+2) at step k
-    low, low_next = 0, 1
-    for k in range(1, m + 1):
-        low, low_next = low_next, low + low_next
-        q, r = divmod(row[-1] * top, low)
-        if r:
-            raise FormulaIntegrityError(f"Fibonomial row step not an integer at (m={m}, k={k})")
-        row.append(q)
-        top, top_next = top_next - top, top
-    return row
-
-
 # Per-prime prefix sums of nu_p(F_i):  _val_sums[p][j] = sum_{i<=j} nu_p(F_i).
 # Every key is a prime, checked before its first build.  Keys are in build
-# order, the last built last; _entries is the sum of the prefixes' lengths.
+# order, the last built last.
 _val_sums: dict[int, array] = {}
-_entries = 0
 _sums_lock = threading.Lock()
 
 
@@ -214,22 +184,19 @@ def _extend_prefix(p: int, sums: array, j: int) -> None:
 
 
 def _valuation_prefix(p: int, j: int) -> array:
-    global _entries
     sums = _val_sums.get(p)
     if sums is None or len(sums) <= j:
         with _sums_lock:
             sums = _val_sums.pop(p, None)
             if sums is None:
                 sums = array("q", [0])
-                _entries += 1
             _val_sums[p] = sums  # last in build order
             start = len(sums)
             if start <= j:
                 # at least doubling keeps the seed and the end check to O(log j) builds
                 _extend_prefix(p, sums, max(j, min(2 * start, MODULAR_CAP)))
-                _entries += len(sums) - start
-                while _entries > PREFIX_ENTRY_CAP and len(_val_sums) > 1:
-                    _entries -= len(_val_sums.pop(next(iter(_val_sums))))  # never p, the last
+                while len(_val_sums) > 1 and sum(map(len, _val_sums.values())) > PREFIX_ENTRY_CAP:
+                    del _val_sums[next(iter(_val_sums))]  # the oldest built, never p
     return sums
 
 
@@ -260,7 +227,5 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
 
 
 def clear_caches() -> None:
-    global _entries
     with _sums_lock:
         _val_sums.clear()
-        _entries = 0

@@ -47,6 +47,10 @@ from .rank import _PLUS_MINUS_1, rank_of_apparition
 
 INTEGRITY_BRANCH = "integrity-error"
 SWEEP_CELL_CAP = 10**6  # most cells both sweeps may ask for; the acceptance grid asks for 11,299
+INDEX_CAP_DEFAULT = 10**5  # the default of VerifyConfig.index_cap and `fibval verify --index-cap`
+# a report's exit codes, which `fibval verify` exits with: a mismatch, else an uncovered branch
+EXIT_MISMATCH = 1
+EXIT_COVERAGE = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +58,7 @@ class VerifyConfig:
     primes: tuple[int, ...]
     a_max: int
     n_max: int
-    index_cap: int = 10**5
+    index_cap: int = INDEX_CAP_DEFAULT
     tier: OracleTier = OracleTier.MODULAR
 
     def __post_init__(self) -> None:
@@ -108,9 +112,9 @@ class VerifyReport:
     @property
     def exit_code(self) -> int:
         if self.mismatches:
-            return 1
+            return EXIT_MISMATCH
         if self.uncovered:
-            return 4
+            return EXIT_COVERAGE
         return 0
 
     def to_json(self) -> str:

@@ -19,9 +19,11 @@ from fibval.formulas import (
     nu5_central,
     nu_fibonomial_formula,
 )
-from fibval.oracle import OracleTier, fibonomial_exact, fibonomial_row, nu_fibonomial_oracle
+from fibval.oracle import OracleTier, fibonomial_exact, nu_fibonomial_oracle
 from fibval.rank import rank_of_apparition
 from fibval.verify import VerifyConfig, run_verify
+
+from fibonomial_rows import fibonomial_row
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 EXACT_PRIMES = (2, 3, 5, 7, 11, 13)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fibval import arith
@@ -76,6 +76,8 @@ def test_fib_mod_rejects_bad_modulus():
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=10**9))
+@example(0, 1)
+@example(10**9, 1)  # modulus 1 takes the doubling loop, which reduces everything to 0
 def test_fib_mod_modulus_one_and_range(n, modulus):
     value = fib_mod(n, modulus)
     assert 0 <= value < modulus or modulus == 1 and value == 0

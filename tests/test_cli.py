@@ -153,6 +153,19 @@ def test_eval_usage_errors(capsys):
     assert run(capsys, "eval", "--p", "3", "--m", "5", "--k", "9")[0] == 2
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_eval_oracle_rejects_k_above_m_on_the_modular_tier(capsys, warm):
+    oracle.clear_caches()
+    if warm:
+        oracle.nu_fibonomial_oracle(3, 2000, 1)
+    code, out, err = run(capsys, "eval", "--p", "3", "--m", "500", "--k", "700",
+                         "--method", "oracle")
+    oracle.clear_caches()
+    assert code == 2
+    assert out == ""
+    assert "need 0 <= k <= m, got m=500, k=700" in err
+
+
 def test_eval_general_past_the_index_cap_names_m(capsys):
     code, out, err = run(capsys, "eval", "--p", "3", "--m", str(2**64), "--k", "1")
     assert code == 2
@@ -421,6 +434,14 @@ def test_verify_rejects_empty_or_repeated_primes(capsys, p_set, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_verify_rejects_a_non_integer_prime(capsys):
+    code, out, err = run(capsys, "verify", "--p-set", "2,x", "--a-max", "1",
+                         "--n-max", "10")
+    assert code == 2
+    assert out == ""
+    assert "bad --p-set" in err
 
 
 def test_verify_mutation_fails(capsys, monkeypatch):

@@ -14,9 +14,11 @@ from fibval.oracle import (
     OracleTier,
     exact_cap,
     fibonomial_exact,
-    fibonomial_row,
     nu_fibonomial_oracle,
 )
+
+import fibonomial_rows
+from fibonomial_rows import fibonomial_row
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -174,20 +176,9 @@ def test_row_matches_definition_small_grid():
         assert fibonomial_row(m) == [fibonomial_by_definition(m, k) for k in range(m + 1)]
 
 
-def test_row_rejects_bad_m_and_enforces_the_cap(monkeypatch):
-    with pytest.raises(ValueError, match="m >= 0"):
-        fibonomial_row(-1)
-    with pytest.raises(ValueError, match="capped"):
-        fibonomial_row(EXACT_CAP_DEFAULT + 1)
-    monkeypatch.setenv("FIBVAL_EXACT_CAP", "50")
-    assert len(fibonomial_row(50)) == 51
-    with pytest.raises(ValueError, match="capped"):
-        fibonomial_row(51)
-
-
 def test_row_non_integral_step_raises(monkeypatch):
     # a wrong seed F_20 = 6766 carries into every factor stepped down from it
-    monkeypatch.setattr(oracle, "fib", lambda i: 6766 if i == 20 else fib(i))
+    monkeypatch.setattr(fibonomial_rows, "fib", lambda i: 6766 if i == 20 else fib(i))
     with pytest.raises(FormulaIntegrityError, match="not an integer"):
         fibonomial_row(20)
 
@@ -198,6 +189,17 @@ def test_oracle_examples():
     val = nu_fibonomial_oracle(3, 9, 3, OracleTier.MODULAR)
     assert val == (1,)
     assert nu_fibonomial_oracle(7, 8, 0, OracleTier.EXACT).value == 0
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("k", [-1, 501, 700])
+def test_modular_tier_rejects_k_outside_0_to_m(cold_prefixes, warm, k):
+    # unguarded, a cold prefix ends at m and raises IndexError; a warm one
+    # reads entries past m or from the end and can sum to a negative valuation
+    if warm:
+        nu_fibonomial_oracle(3, 2000, 1)
+    with pytest.raises(ValueError, match="need 0 <= k <= m"):
+        nu_fibonomial_oracle(3, 500, k, OracleTier.MODULAR)
 
 
 def test_modular_cap_enforced():
@@ -343,8 +345,7 @@ def test_prefix_table_evicts_the_oldest_built_primes_past_its_cap(cold_prefixes,
     got = []
     for p, m, k in queries:
         got.append(nu_fibonomial_oracle(p, m, k))
-        entries = sum(map(len, oracle._val_sums.values()))
-        assert entries == oracle._entries <= 7000
+        assert sum(map(len, oracle._val_sums.values())) <= 7000
         assert list(oracle._val_sums)[-1] == p  # the prime just built is kept
     assert got == expected
     kept = list(oracle._val_sums)

@@ -100,17 +100,23 @@ def test_nu_fz_matches_exact_fibonacci():
         assert rec.nu_fz == _nu_int(p, fib(rec.z))
 
 
-def test_large_primes_rank():
+def test_large_primes_rank(monkeypatch):
     rng = random.Random(2019)
     primes = [random_prime(rng, bits) for bits in (20, 32, 48, 62, 63, 64) for _ in range(3)]
     primes += [half_side_prime(rng, bits) for bits in (32, 48, 62)]
     primes.append((1 << 64) - 59)  # the largest prime below 2^64
-    rank.clear_cache()
+    calls = []
+    monkeypatch.setattr(rank, "fib_mod", lambda m, modulus: calls.append(m) or fib_mod(m, modulus))
     for p in primes:
-        start = time.perf_counter()
-        rec = rank_of_apparition(p)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 0.1, (p, elapsed)
+        best = math.inf
+        for _ in range(3):  # the best of three cold calls, so host load does not count
+            rank.clear_cache()
+            calls.clear()
+            start = time.perf_counter()
+            rec = rank_of_apparition(p)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.1, (p, best)
+        assert len(calls) <= 9, (p, calls)  # the descent, not a scan of the divisors of p -+ 1
         assert side(p) % rec.z == 0, p
         assert fib_mod(rec.z, p) == 0, p
         for q in rank._prime_factors(rec.z):
