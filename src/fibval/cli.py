@@ -45,7 +45,7 @@ from .formulas import (
     nu_central,
     nu_fibonomial_formula,
 )
-from .oracle import OracleTier, exact_cap, nu_fibonomial_oracle
+from .oracle import EXACT_CAP_DEFAULT, OracleTier, nu_fibonomial_oracle
 from .verify import EXIT_MISMATCH, INDEX_CAP_DEFAULT, VerifyConfig, run_verify
 
 EXIT_OK = 0
@@ -53,10 +53,6 @@ EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 
 N_MAX_CAP = 10**5  # most rows of a scan or table, which bounds the time one command takes
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
 
 
 # parse_args leaves a parser as it was, so one tree serves every call.  The
@@ -110,7 +106,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), less the command attribute, which
+    """_parsers()[0].parse_args(argv), less the command attribute, which
     nothing reads.  A known command skips the top-level parser, which would
     classify every argument before its subparser parses them again."""
     parser, commands = _parsers()
@@ -156,7 +152,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             val, trace = nu_fibonomial_formula(args.p, args.m, args.k)
         formula_value = val.value
     if use_oracle:
-        tier = OracleTier.EXACT if m_index <= exact_cap() else OracleTier.MODULAR
+        tier = OracleTier.EXACT if m_index <= EXACT_CAP_DEFAULT else OracleTier.MODULAR
         oracle_value = nu_fibonomial_oracle(args.p, m_index, k_index, tier).value
 
     if use_formula:

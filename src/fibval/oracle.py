@@ -7,7 +7,8 @@ Two deliberately naive, mutually independent routes:
   prime factors directly.  Each product multiplies runs of 32 factors, then
   the run products as a balanced tree, so that its large multiplications
   pair operands of like size.  Tier A keeps no state between calls; its
-  index cap, at most EXACT_CAP_MAX, bounds the time a call takes;
+  index cap, the ``cap`` argument alone (EXACT_CAP_DEFAULT if not given, at
+  most EXACT_CAP_MAX), bounds the time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -36,7 +37,6 @@ layer; this module must never import fibval.formulas.
 
 from __future__ import annotations
 
-import os
 import threading
 from array import array
 from enum import Enum
@@ -53,7 +53,6 @@ from .arith import (
 )
 
 EXACT_CAP_DEFAULT = 400
-EXACT_CAP_ENV = "FIBVAL_EXACT_CAP"
 # highest tier-A cap: one call at m = 2000, k = 1000 takes under a second
 EXACT_CAP_MAX = 2000
 MODULAR_CAP = 10**7
@@ -74,23 +73,6 @@ _EXACT = OracleTier.EXACT
 _MODULAR = OracleTier.MODULAR
 
 
-def exact_cap() -> int:
-    """Tier-A index cap; overridable via the FIBVAL_EXACT_CAP env var, up to EXACT_CAP_MAX."""
-    raw = os.environ.get(EXACT_CAP_ENV)
-    if raw is None:
-        return EXACT_CAP_DEFAULT
-    shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        # int() refuses a decimal string past its digit limit with a ValueError too
-        problem = "is too large" if raw.strip().lstrip("+-").isdecimal() else "must be an integer"
-        raise ValueError(f"{EXACT_CAP_ENV} {problem}, got {shown}") from exc
-    if not 1 <= cap <= EXACT_CAP_MAX:
-        raise ValueError(f"{EXACT_CAP_ENV} must be between 1 and {EXACT_CAP_MAX}, got {shown}")
-    return cap
-
-
 def _product(xs: list[int], lo: int, hi: int) -> int:
     """xs[lo] * ... * xs[hi - 1] (hi > lo) as a balanced tree of products."""
     if hi - lo == 1:
@@ -108,11 +90,12 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     multiplies runs of _RUN factors one at a time, then the run products
     as a balanced tree: multiplying a growing product by one factor at a
     time costs time quadratic in its size, while a tree multiplies
-    operands of like size, which Karatsuba speeds up.  ``cap`` must lie
-    between 1 and EXACT_CAP_MAX, as FIBVAL_EXACT_CAP must.
+    operands of like size, which Karatsuba speeds up.  ``cap``, the index
+    cap, is EXACT_CAP_DEFAULT if not given and must lie between 1 and
+    EXACT_CAP_MAX.
     """
     if cap is None:
-        cap = exact_cap()
+        cap = EXACT_CAP_DEFAULT
     elif cap < 1:
         raise ValueError(f"exact tier cap must be >= 1, got {show_int(cap)}")
     elif cap > EXACT_CAP_MAX:
@@ -204,8 +187,9 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
                          cap: int | None = None) -> Valuation:
     """Ground-truth nu_p of a Fibonomial coefficient via the chosen tier.
 
-    ``cap`` is tier A's index cap (see ``fibonomial_exact``); the modular
-    tier is capped at MODULAR_CAP and rejects any ``cap`` given.
+    ``cap`` is tier A's index cap (see ``fibonomial_exact``), EXACT_CAP_DEFAULT
+    if not given; the modular tier is capped at MODULAR_CAP and rejects any
+    ``cap`` given.
     """
     if tier is _EXACT or p not in _val_sums:
         require_prime(p)

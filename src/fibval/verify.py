@@ -37,10 +37,9 @@ from .formulas import (
 )
 from .oracle import (
     _MODULAR,
-    EXACT_CAP_MAX,
+    EXACT_CAP_DEFAULT,
     MODULAR_CAP,
     OracleTier,
-    exact_cap,
     nu_fibonomial_oracle,
 )
 from .rank import _PLUS_MINUS_1, rank_of_apparition
@@ -163,13 +162,10 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
               for rows in (_general_rows, _ratio_rows)]  # reads z(p): rejects every non-prime
     central_top = max((p**a * config.n_limit(p, a)
                        for p in config.primes for a in config.exponents(p)), default=0)
-    exact = config.tier is OracleTier.EXACT
-    cap = exact_cap() if exact else MODULAR_CAP
+    cap = EXACT_CAP_DEFAULT if config.tier is OracleTier.EXACT else MODULAR_CAP
     if central_top > cap:
-        hint = (f"raise FIBVAL_EXACT_CAP (at most {EXACT_CAP_MAX}) or shrink the grid" if exact
-                else "shrink the grid")
         raise ValueError(f"{config.tier.value}-tier grid reaches index {central_top} "
-                         f"beyond the cap {cap}; {hint}")
+                         f"beyond the cap {cap}; shrink the grid")
     sweep_cells = 0  # all rows but one per exponent pair have a cell: the walk stays short
     for m, ks, *_ in itertools.chain.from_iterable(sweeps):
         if m > MODULAR_CAP:

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibval.formulas as formulas
-from fibval import oracle, rank
-from fibval.cli import N_MAX_CAP, _parse_argv, build_parser, console_main, main
-from fibval.oracle import EXACT_CAP_MAX
+from fibval import cli, oracle, rank, verify
+from fibval.cli import N_MAX_CAP, _parse_argv, _parsers, console_main, main
+from fibval.oracle import fibonomial_exact
 from fibval.verify import SWEEP_CELL_CAP
 
 
@@ -21,6 +21,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_calls(monkeypatch, module, *names):
+    """Make each named function of module raise on its first call: beside a
+    fast-usage-error test's clock, a bound of zero calls past the guard, which
+    fails at once where a missing guard would walk the whole range."""
+    for name in names:
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{module.__name__}.{name} ran past the guard")
+        monkeypatch.setattr(module, name, refuse)
 
 
 # --- eval -------------------------------------------------------------------
@@ -92,7 +102,8 @@ def test_eval_explain_golden(capsys, argv):
     ("scan", "--p", "3", "--a", "1000000000", "--n-max", "5", "--predicate", "divisible"),
     ("table", "--p", "3", "--a", "1000000000", "--n-max", "5"),
 ])
-def test_huge_exponent_is_a_fast_usage_error(capsys, argv):
+def test_huge_exponent_is_a_fast_usage_error(capsys, monkeypatch, argv):
+    refuse_calls(monkeypatch, cli, "divides_p_central", "nu_central")
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -106,9 +117,10 @@ def test_huge_exponent_is_a_fast_usage_error(capsys, argv):
     ("scan", "--p", "2", "--a", "1", "--predicate", "divisible"),
     ("table", "--p", "2", "--a", "1", "--format", "json"),
 ])
-def test_n_max_beyond_the_row_cap_is_a_fast_usage_error(capsys, argv, n_max):
+def test_n_max_beyond_the_row_cap_is_a_fast_usage_error(capsys, monkeypatch, argv, n_max):
     # n_max = 2^62 - 1 passes the 2^63 index check; without the row cap,
     # table buffered rows without end and printed nothing
+    refuse_calls(monkeypatch, cli, "divides_p_central", "nu_central")
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--n-max", str(n_max))
     assert time.perf_counter() - start < 1.0
@@ -124,7 +136,19 @@ def test_eval_modular_tier_for_large_index(capsys):
     assert out.startswith("nu (oracle/modular) = ")
 
 
-def test_eval_oracle_beyond_the_modular_cap_is_a_fast_usage_error(capsys):
+def test_an_exported_fibval_exact_cap_changes_nothing(capsys, monkeypatch):
+    # fibval reads no environment: tier A's cap comes from its argument alone
+    monkeypatch.setenv("FIBVAL_EXACT_CAP", "2000")
+    code, out, _ = run(capsys, "eval", "--p", "3", "--a", "1", "--n", "200",
+                       "--method", "oracle")
+    assert code == 0
+    assert out.startswith("nu (oracle/modular) = ")
+    with pytest.raises(ValueError):
+        fibonomial_exact(401, 3)
+
+
+def test_eval_oracle_beyond_the_modular_cap_is_a_fast_usage_error(capsys, monkeypatch):
+    refuse_calls(monkeypatch, oracle, "_extend_prefix")
     start = time.perf_counter()
     code, out, err = run(capsys, "eval", "--p", "3", "--m", "20000000", "--k", "1",
                          "--method", "oracle")
@@ -134,8 +158,9 @@ def test_eval_oracle_beyond_the_modular_cap_is_a_fast_usage_error(capsys):
     assert "cap" in err
 
 
-def test_eval_both_beyond_the_modular_cap_prints_nothing(capsys):
+def test_eval_both_beyond_the_modular_cap_prints_nothing(capsys, monkeypatch):
     # the formula value is known before the oracle rejects the index; it must not be printed
+    refuse_calls(monkeypatch, oracle, "_extend_prefix")
     start = time.perf_counter()
     code, out, err = run(capsys, "eval", "--p", "3", "--m", "20000000", "--k", "1",
                          "--method", "both")
@@ -463,21 +488,7 @@ def test_verify_exact_tier_beyond_cap(capsys):
     code, _, err = run(capsys, "verify", "--p-set", "13", "--a-max", "1",
                        "--n-max", "50", "--tier", "exact")
     assert code == 2
-    assert "FIBVAL_EXACT_CAP" in err
-    assert f"at most {EXACT_CAP_MAX}" in err
-
-
-def test_eval_oracle_with_an_exact_cap_past_the_ceiling_is_a_fast_usage_error(
-        capsys, monkeypatch):
-    # without the ceiling this would start building a ~10^15-bit integer
-    monkeypatch.setenv("FIBVAL_EXACT_CAP", "1000000000")
-    start = time.perf_counter()
-    code, out, err = run(capsys, "eval", "--p", "3", "--m", "100000000", "--k", "50000000",
-                         "--method", "oracle")
-    assert time.perf_counter() - start < 1.0
-    assert code == 2
-    assert out == ""
-    assert f"between 1 and {EXACT_CAP_MAX}" in err
+    assert "reaches index 650 beyond the cap 400; shrink the grid" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -486,7 +497,8 @@ def test_eval_oracle_with_an_exact_cap_past_the_ceiling_is_a_fast_usage_error(
     # the ratio sweep reaches 226 * 223^2, past the modular cap
     ("--p-set", "223", "--a-max", "1", "--n-max", "10", "--index-cap", "20000000"),
 ])
-def test_verify_beyond_the_modular_cap_is_a_fast_usage_error(capsys, argv):
+def test_verify_beyond_the_modular_cap_is_a_fast_usage_error(capsys, monkeypatch, argv):
+    refuse_calls(monkeypatch, verify, "nu_fibonomial_oracle")
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", *argv)
     assert time.perf_counter() - start < 1.0
@@ -499,7 +511,8 @@ def test_verify_beyond_the_modular_cap_is_a_fast_usage_error(capsys, argv):
     "999983",  # the general sweep alone asks for about 5e9 cells
     "10007",  # about 2e8 cells
 ])
-def test_verify_beyond_the_sweep_cell_cap_is_a_fast_usage_error(capsys, p_set):
+def test_verify_beyond_the_sweep_cell_cap_is_a_fast_usage_error(capsys, monkeypatch, p_set):
+    refuse_calls(monkeypatch, verify, "nu_fibonomial_oracle")
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--p-set", p_set, "--a-max", "1", "--n-max", "1")
     assert time.perf_counter() - start < 1.0
@@ -508,10 +521,10 @@ def test_verify_beyond_the_sweep_cell_cap_is_a_fast_usage_error(capsys, p_set):
     assert f"cap {SWEEP_CELL_CAP}" in err
 
 
-def test_verify_exact_tier_with_raised_cap(capsys, monkeypatch):
-    monkeypatch.setenv("FIBVAL_EXACT_CAP", "650")
+def test_verify_exact_tier_with_raised_cap(capsys):
+    # 13 * 30 = 390: the grid fits under the default cap 400
     code, out, _ = run(capsys, "verify", "--p-set", "13", "--a-max", "1",
-                       "--n-max", "50", "--tier", "exact")
+                       "--n-max", "30", "--tier", "exact")
     assert code == 0
     assert json.loads(out)["mismatches"] == []
 
@@ -521,7 +534,7 @@ def test_no_command_is_usage_error(capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
-    assert build_parser() is build_parser()
+    assert _parsers()[0] is _parsers()[0]
     explain = ("eval", "--p", "2", "--m", "6", "--k", "2")
     assert run(capsys, *explain, "--explain") == (0, GOLDEN_EXPLAIN[explain[1:]], "")
     assert run(capsys, *explain) == (0, "nu (formula) = 3\n", "")
@@ -539,7 +552,7 @@ def test_a_known_command_skips_the_top_level_parser(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the top-level parser ran")
 
-    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    monkeypatch.setattr(_parsers()[0], "parse_known_args", refuse)
     assert run(capsys, "scan", "--p", "2", "--a", "2", "--n-max", "20",
                "--predicate", "odd_fibonomial") == (0, "1\n2\n4\n8\n16\n", "")
     assert run(capsys, "table", "--p", "5", "--a", "1", "--n-max", "1") == (
@@ -663,4 +676,4 @@ def parse_outcome(parse, argv):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(EDGE_ARGVS) | argvs())
 def test_parse_matches_the_top_level_parse(argv):
-    assert parse_outcome(_parse_argv, argv) == parse_outcome(build_parser().parse_args, argv), argv
+    assert parse_outcome(_parse_argv, argv) == parse_outcome(_parsers()[0].parse_args, argv), argv

@@ -12,7 +12,6 @@ from fibval.oracle import (
     EXACT_CAP_MAX,
     MODULAR_CAP,
     OracleTier,
-    exact_cap,
     fibonomial_exact,
     nu_fibonomial_oracle,
 )
@@ -114,7 +113,8 @@ def test_exact_cap_enforced():
         fibonomial_exact(EXACT_CAP_DEFAULT + 1, 3)
     with pytest.raises(ValueError):
         fibonomial_exact(50, 3, cap=40)
-    # a cap argument is bounded as the environment variable is
+    assert fibonomial_exact(420, 1, cap=450) == fib(420)
+    # a cap argument is bounded by EXACT_CAP_MAX
     with pytest.raises(ValueError, match=f"cap must be <= {EXACT_CAP_MAX}"):
         fibonomial_exact(5, 2, cap=EXACT_CAP_MAX + 1)
     with pytest.raises(ValueError, match=f"cap must be <= {EXACT_CAP_MAX}"):
@@ -126,42 +126,6 @@ def test_exact_cap_enforced():
     with pytest.raises(ValueError, match="exact tier cap must be >= 1, got 0"):
         fibonomial_exact(0, 0, cap=0)
     assert fibonomial_exact(1, 1, cap=1) == 1
-
-
-def test_exact_cap_env_override(monkeypatch):
-    monkeypatch.setenv("FIBVAL_EXACT_CAP", "10")
-    assert exact_cap() == 10
-    with pytest.raises(ValueError):
-        fibonomial_exact(12, 3)
-    monkeypatch.setenv("FIBVAL_EXACT_CAP", "450")
-    assert fibonomial_exact(420, 1) == fib(420)
-    monkeypatch.setenv("FIBVAL_EXACT_CAP", "garbage")
-    with pytest.raises(ValueError):
-        exact_cap()
-    monkeypatch.setenv("FIBVAL_EXACT_CAP", str(EXACT_CAP_MAX))
-    assert exact_cap() == EXACT_CAP_MAX
-    for raw in (str(EXACT_CAP_MAX + 1), "1000000000", "0"):
-        monkeypatch.setenv("FIBVAL_EXACT_CAP", raw)
-        with pytest.raises(ValueError, match=f"between 1 and {EXACT_CAP_MAX}"):
-            exact_cap()
-
-
-def test_exact_cap_too_many_digits_is_too_large(monkeypatch):
-    # int() refuses past 4300 digits with a ValueError of its own
-    raw = "9" * 5001
-    monkeypatch.setenv("FIBVAL_EXACT_CAP", raw)
-    with pytest.raises(ValueError, match="is too large") as info:
-        exact_cap()
-    assert "must be an integer" not in str(info.value)
-    assert "9" * 41 not in str(info.value)
-
-
-def test_exact_cap_error_echoes_at_most_40_characters(monkeypatch):
-    monkeypatch.setenv("FIBVAL_EXACT_CAP", "garbage" * 1000)
-    with pytest.raises(ValueError, match="must be an integer") as info:
-        exact_cap()
-    assert len(str(info.value)) < 120
-    assert "7000 characters" in str(info.value)
 
 
 def test_exact_rejects_bad_indices():
