@@ -4,6 +4,11 @@ Closed-form evaluation for the central shape (p^a*n, n), the general shape
 (m, k) and the prime-power-ratio shape, each cross-checkable against two
 independent brute-force oracles, plus divisibility predicates and range
 scanners.  See the CLI (``fibval``) for the command-line surface.
+
+``VerifyConfig``, ``VerifyReport`` and ``run_verify`` are resolved from
+``fibval.verify`` on first use (a module ``__getattr__``), so importing the
+package, as every CLI command does, loads neither ``verify`` nor the
+``dataclasses`` module it needs.
 """
 
 from .arith import (
@@ -32,7 +37,6 @@ from .formulas import (
 )
 from .oracle import OracleTier, fibonomial_exact, nu_fibonomial_oracle
 from .rank import Mod5Class, RankRecord, rank_of_apparition
-from .verify import VerifyConfig, VerifyReport, run_verify
 
 __version__ = "0.1.0"
 
@@ -67,3 +71,13 @@ __all__ = [
     "rank_of_apparition",
     "run_verify",
 ]
+
+_LAZY_VERIFY = frozenset({"VerifyConfig", "VerifyReport", "run_verify"})
+
+
+def __getattr__(name: str) -> object:
+    if name in _LAZY_VERIFY:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,6 +21,10 @@ the top-level parser handles everything else (no command, help, an unknown
 command, an option before the command) and reports leftover arguments.
 table writes its rows one at a time as they are computed (JSON from one
 fixed row template), so its memory does not grow with --n-max.
+
+The verify module (and with it ``dataclasses`` and ``inspect``) loads with
+its command, inside cmd_verify: the parser and main() read its default and
+exit code from ``oracle``, so eval, scan and table start without it.
 """
 
 from __future__ import annotations
@@ -45,8 +49,13 @@ from .formulas import (
     nu_central,
     nu_fibonomial_formula,
 )
-from .oracle import EXACT_CAP_DEFAULT, OracleTier, nu_fibonomial_oracle
-from .verify import EXIT_MISMATCH, INDEX_CAP_DEFAULT, VerifyConfig, run_verify
+from .oracle import (
+    EXACT_CAP_DEFAULT,
+    EXIT_MISMATCH,
+    INDEX_CAP_DEFAULT,
+    OracleTier,
+    nu_fibonomial_oracle,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -210,6 +219,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import VerifyConfig, run_verify
+
     try:
         primes = tuple(int(tok) for tok in args.p_set.split(",") if tok.strip())
     except ValueError as exc:

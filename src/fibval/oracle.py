@@ -59,6 +59,13 @@ MODULAR_CAP = 10**7
 # most tier-B prefix entries over all primes (8 bytes each): two full prefixes
 PREFIX_ENTRY_CAP = 2 * (MODULAR_CAP + 1)
 _SWEEP_BOUND = 1 << 63
+# The default of VerifyConfig.index_cap and `fibval verify --index-cap`, and a
+# verify report's exit codes: a mismatch, else an uncovered branch.  The CLI's
+# parser and main() read them too, so they live here, which every command
+# loads, rather than in verify, which only `fibval verify` loads.
+INDEX_CAP_DEFAULT = 10**5
+EXIT_MISMATCH = 1
+EXIT_COVERAGE = 4
 _RUN = 32  # tier-A factors multiplied one at a time before the runs are paired
 
 

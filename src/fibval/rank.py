@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from enum import Enum
 
 from .arith import FormulaIntegrityError, _index_valuation, fib_mod, is_prime, require_prime
@@ -49,12 +48,50 @@ _PLUS_MINUS_2 = Mod5Class.PLUS_MINUS_2
 _IS_5 = Mod5Class.IS_5
 
 
-@dataclass(frozen=True, slots=True)
 class RankRecord:
-    p: int
-    z: int       # smallest index with p | F_z
-    nu_fz: int   # nu_p(F_z), always >= 1
-    mod5: Mod5Class  # residue class of p mod 5 that selects the closed-form branch
+    """The rank data of a prime p, read-only: z, the smallest index with
+    p | F_z; nu_fz = nu_p(F_z) >= 1; mod5, p's class mod 5, which selects the
+    closed-form branch.
+
+    A plain ``__slots__`` class with a frozen dataclass's constructor, repr,
+    equality and hash, so that importing the package does not load
+    ``dataclasses`` (and ``inspect``); not a tuple, because a slot read costs
+    less than a tuple field's getter on the formula path.
+    """
+
+    __slots__ = ("p", "z", "nu_fz", "mod5")
+
+    def __init__(self, p: int, z: int, nu_fz: int, mod5: Mod5Class) -> None:
+        _set = object.__setattr__
+        _set(self, "p", p)
+        _set(self, "z", z)
+        _set(self, "nu_fz", nu_fz)
+        _set(self, "mod5", mod5)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple[int, int, int, Mod5Class]:
+        return self.p, self.z, self.nu_fz, self.mod5
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(p={self.p!r}, z={self.z!r}, "
+                f"nu_fz={self.nu_fz!r}, mod5={self.mod5!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple[type, tuple[int, int, int, Mod5Class]]:
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return type(self), self._fields()
 
 
 _cache: dict[int, RankRecord] = {}

@@ -38,6 +38,9 @@ from .formulas import (
 from .oracle import (
     _MODULAR,
     EXACT_CAP_DEFAULT,
+    EXIT_COVERAGE,
+    EXIT_MISMATCH,
+    INDEX_CAP_DEFAULT,
     MODULAR_CAP,
     OracleTier,
     nu_fibonomial_oracle,
@@ -46,10 +49,6 @@ from .rank import _PLUS_MINUS_1, rank_of_apparition
 
 INTEGRITY_BRANCH = "integrity-error"
 SWEEP_CELL_CAP = 10**6  # most cells both sweeps may ask for; the acceptance grid asks for 11,299
-INDEX_CAP_DEFAULT = 10**5  # the default of VerifyConfig.index_cap and `fibval verify --index-cap`
-# a report's exit codes, which `fibval verify` exits with: a mismatch, else an uncovered branch
-EXIT_MISMATCH = 1
-EXIT_COVERAGE = 4
 
 
 @dataclass(frozen=True, slots=True)

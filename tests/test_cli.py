@@ -3,6 +3,8 @@ import io
 import json
 import os
 import string
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import fibval.formulas as formulas
 from fibval import cli, oracle, rank, verify
+from fibval.arith import _index_valuation, fib_mod
 from fibval.cli import N_MAX_CAP, _parse_argv, _parsers, console_main, main
 from fibval.oracle import fibonomial_exact
 from fibval.verify import SWEEP_CELL_CAP
@@ -222,17 +225,29 @@ def test_eval_large_prime_general(capsys):
     assert out == "nu (formula) = 0\n"
 
 
-def test_eval_prime_near_2_63_explain(capsys):
+def test_eval_prime_near_2_63_explain(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(rank, "fib_mod", lambda m, modulus: calls.append(m) or fib_mod(m, modulus))
+    rank.clear_cache()
     start = time.perf_counter()
     code, out, _ = run(capsys, "eval", "--p", "9223372036854775783", "--a", "1", "--n", "1",
                        "--explain")
-    assert time.perf_counter() - start < 1.0
+    elapsed = time.perf_counter() - start
+    # a cold rank descends from p + 1 = 2^3 * 1177067 * 979486728119: F_(p+1),
+    # then one call a prime factor; a scan of the divisors of p + 1 makes more
+    assert len(calls) <= 4, calls
+    assert elapsed < 1.0
     assert code == 0
     assert "z = 9223372036854775784" in out.splitlines()
 
 
-def test_eval_both_at_index_3e6_is_fast(capsys):
+def test_eval_both_at_index_3e6_is_fast(capsys, monkeypatch):
     # tier B builds the prefix of p = 999983 to m = 2,999,949 in one sweep
+    doublings, fallbacks = [], []
+    monkeypatch.setattr(oracle, "fib_mod",
+                        lambda m, modulus: doublings.append(m) or fib_mod(m, modulus))
+    monkeypatch.setattr(oracle, "_index_valuation",
+                        lambda p, i: fallbacks.append(i) or _index_valuation(p, i))
     rank.clear_cache()
     oracle.clear_caches()
     start = time.perf_counter()
@@ -241,7 +256,11 @@ def test_eval_both_at_index_3e6_is_fast(capsys):
                            "--method", "both")
     finally:
         oracle.clear_caches()
-    assert time.perf_counter() - start < 5.0
+    elapsed = time.perf_counter() - start
+    # two seeds and two end checks by fast doubling; no index has p^3 | F_i
+    assert len(doublings) <= 4, len(doublings)
+    assert not fallbacks, fallbacks[:10]
+    assert elapsed < 5.0
     assert code == 0
     assert out.endswith("agreement: ok\n")
 
@@ -572,6 +591,31 @@ def test_console_entry_point_reads_sys_argv(capsys, monkeypatch, argv, code, out
         console_main()
     assert exc.value.code == code
     assert capsys.readouterr().out == out
+
+
+# A fresh process, since this one has imported verify already.  It checks which
+# modules load, not how long that takes, so a loaded host cannot fail it.
+STARTUP_SET = """
+import contextlib, io, sys
+from fibval.cli import main
+heavy = ("dataclasses", "inspect", "fibval.verify")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["scan", "--p", "7", "--a", "2", "--n-max", "20", "--predicate", "divisible"]),
+             main(["table", "--p", "7", "--a", "1", "--n-max", "5", "--format", "json"]),
+             main(["eval", "--p", "7", "--a", "1", "--n", "3", "--method", "both", "--explain"])]
+print(codes, [name for name in heavy if name in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(["verify", "--p-set", "3", "--a-max", "1", "--n-max", "5"])
+print(code, "fibval.verify" in sys.modules)
+"""
+
+
+def test_only_the_verify_command_loads_verify_and_dataclasses():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SET], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] []\n0 True\n"
 
 
 # --- fuzz -------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 import random
 import time
 
 import pytest
 
 from fibval import rank
-from fibval.rank import Mod5Class, rank_of_apparition
+from fibval.rank import Mod5Class, RankRecord, rank_of_apparition
 from fibval.arith import _nu_int, fib, fib_mod, is_prime
 
 
@@ -48,6 +50,30 @@ def test_examples():
     assert (rec.z, rec.nu_fz) == (7, 1)
     rec = rank_of_apparition(5)
     assert (rec.z, rec.nu_fz) == (5, 1)
+
+
+def test_record_is_read_only_with_a_dataclass_repr():
+    rec = rank_of_apparition(7)
+    assert repr(rec) == "RankRecord(p=7, z=8, nu_fz=1, mod5=<Mod5Class.PLUS_MINUS_2: 'plus_minus_2'>)"
+    with pytest.raises(AttributeError):
+        rec.z = 1
+    with pytest.raises(AttributeError):
+        del rec.p
+    assert (rec.p, rec.z, rec.nu_fz, rec.mod5) == (7, 8, 1, Mod5Class.PLUS_MINUS_2)
+
+
+def test_record_equality_and_hash_follow_the_fields():
+    rec = rank_of_apparition(7)
+    same = RankRecord(p=7, z=8, nu_fz=1, mod5=Mod5Class.PLUS_MINUS_2)
+    assert same == rec and hash(same) == hash(rec) and same is not rec
+    assert RankRecord(7, 8, 1, Mod5Class.PLUS_MINUS_2) == same
+    for other in (RankRecord(7, 8, 2, Mod5Class.PLUS_MINUS_2),
+                  RankRecord(7, 8, 1, Mod5Class.PLUS_MINUS_1),
+                  RankRecord(11, 8, 1, Mod5Class.PLUS_MINUS_2)):
+        assert other != rec
+    assert rec != (7, 8, 1, Mod5Class.PLUS_MINUS_2)
+    assert len({rec, same, rank_of_apparition(11)}) == 2
+    assert copy.copy(rec) == rec and pickle.loads(pickle.dumps(rec)) == rec
 
 
 def test_rejects_composite():
