@@ -14,11 +14,17 @@ row), and a prime --p under scan --predicate odd_fibonomial, which never
 hands p to the prime gate.  verify rejects a grid whose sweeps ask for too
 many cells before the first; eval computes each value before printing any.
 
-The parser is built once per process, on the first main() call, so an
-in-process caller pays for argparse setup once.  When the first argument is
-exactly a command name, that command's subparser alone parses the rest;
-the top-level parser handles everything else (no command, help, an unknown
-command, an option before the command) and reports leftover arguments.
+Each command's flags are declared once, in ``_COMMANDS``.  A well-formed
+argv is read from that table without argparse: a command name, then exact
+flags of that command, none twice, each valued one followed by a value that
+does not begin with "-", converts by the flag's type and is one of its
+choices, if it has any, and every required flag given.  Any other argv
+(help, no command or an unknown one, an abbreviated flag, ``--p=5``, a
+negative value, a repeated flag, a bad or missing value) goes to the
+argparse parser built from the same table, which gives the same namespace,
+message and exit code as always.  argparse is imported and the parser built
+only then, once per process.
+
 table writes its rows one at a time as they are computed (JSON from one
 fixed row template), so its memory does not grow with --n-max.
 
@@ -29,13 +35,14 @@ exit code from ``oracle``, so eval, scan and table start without it.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import itertools
 import json
 import sys
 from collections.abc import Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import FormulaIntegrityError, require_prime
 from .formulas import (
@@ -57,75 +64,14 @@ from .oracle import (
     nu_fibonomial_oracle,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 
 N_MAX_CAP = 10**5  # most rows of a scan or table, which bounds the time one command takes
-
-
-# parse_args leaves a parser as it was, so one tree serves every call.  The
-# second item maps each command name to its subparser, which _parse_argv
-# hands the rest of a command's argv to without the top-level parser.
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="fibval",
-        description="p-adic valuations of Fibonomial coefficients: closed forms, "
-                    "brute-force cross-checks, scans and tables.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ev = sub.add_parser("eval", help="evaluate one valuation")
-    ev.add_argument("--p", type=int, required=True, help="prime")
-    ev.add_argument("--a", type=int, help="exponent in the central form (p^a*n, n)")
-    ev.add_argument("--n", type=int, help="cofactor in the central form")
-    ev.add_argument("--m", type=int, help="upper index in the general form (m, k)")
-    ev.add_argument("--k", type=int, help="lower index in the general form")
-    ev.add_argument("--method", choices=["formula", "oracle", "both"], default="formula")
-    ev.add_argument("--explain", action="store_true", help="print the branch trace")
-    ev.set_defaults(func=cmd_eval)
-
-    sc = sub.add_parser("scan", help="list n <= n-max satisfying a predicate")
-    sc.add_argument("--p", type=int, required=True)
-    sc.add_argument("--a", type=int, required=True)
-    sc.add_argument("--n-max", type=int, required=True, dest="n_max")
-    sc.add_argument("--predicate", required=True,
-                    choices=["divisible", "not_divisible", "odd_fibonomial"])
-    sc.add_argument("--format", choices=["lines", "json"], default="lines")
-    sc.set_defaults(func=cmd_scan)
-
-    ve = sub.add_parser("verify", help="run the formula-vs-oracle grid")
-    ve.add_argument("--p-set", required=True, dest="p_set",
-                    help="comma-separated primes, e.g. 2,3,5,7")
-    ve.add_argument("--a-max", type=int, required=True, dest="a_max")
-    ve.add_argument("--n-max", type=int, required=True, dest="n_max")
-    ve.add_argument("--index-cap", type=int, default=INDEX_CAP_DEFAULT, dest="index_cap",
-                    help="skip cells with p^a*n beyond this (default %(default)s)")
-    ve.add_argument("--tier", choices=["exact", "modular"], default="modular",
-                    help="oracle tier for the central grid (sweeps always use modular)")
-    ve.set_defaults(func=cmd_verify)
-
-    ta = sub.add_parser("table", help="emit p,a,n,nu,branch rows")
-    ta.add_argument("--p", type=int, required=True)
-    ta.add_argument("--a", type=int, required=True)
-    ta.add_argument("--n-max", type=int, required=True, dest="n_max")
-    ta.add_argument("--format", choices=["csv", "json"], default="csv")
-    ta.set_defaults(func=cmd_table)
-    return parser, dict(sub.choices)
-
-
-def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """_parsers()[0].parse_args(argv), less the command attribute, which
-    nothing reads.  A known command skips the top-level parser, which would
-    classify every argument before its subparser parses them again."""
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
 
 
 def _check_range(args: argparse.Namespace) -> None:
@@ -263,6 +209,119 @@ def cmd_table(args: argparse.Namespace) -> int:
         writer.writerow(["p", "a", "n", "nu", "branch"])
         writer.writerows(rows)
     return EXIT_OK
+
+
+class _Flag(NamedTuple):
+    """One flag of a command, in the terms of argparse's add_argument.  The
+    type bool marks a switch (store_true); every other flag takes one value."""
+    dest: str
+    type: type = int
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+
+# Every command: its function, its help line and its flags by name.  The
+# reader and the argparse tree are both built from this table.
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate one valuation", {
+        "--p": _Flag("p", required=True, help="prime"),
+        "--a": _Flag("a", help="exponent in the central form (p^a*n, n)"),
+        "--n": _Flag("n", help="cofactor in the central form"),
+        "--m": _Flag("m", help="upper index in the general form (m, k)"),
+        "--k": _Flag("k", help="lower index in the general form"),
+        "--method": _Flag("method", str, ("formula", "oracle", "both"), "formula"),
+        "--explain": _Flag("explain", bool, default=False, help="print the branch trace"),
+    }),
+    "scan": (cmd_scan, "list n <= n-max satisfying a predicate", {
+        "--p": _Flag("p", required=True),
+        "--a": _Flag("a", required=True),
+        "--n-max": _Flag("n_max", required=True),
+        "--predicate": _Flag("predicate", str, ("divisible", "not_divisible", "odd_fibonomial"),
+                             required=True),
+        "--format": _Flag("format", str, ("lines", "json"), "lines"),
+    }),
+    "verify": (cmd_verify, "run the formula-vs-oracle grid", {
+        "--p-set": _Flag("p_set", str, required=True,
+                         help="comma-separated primes, e.g. 2,3,5,7"),
+        "--a-max": _Flag("a_max", required=True),
+        "--n-max": _Flag("n_max", required=True),
+        "--index-cap": _Flag("index_cap", default=INDEX_CAP_DEFAULT,
+                             help="skip cells with p^a*n beyond this (default %(default)s)"),
+        "--tier": _Flag("tier", str, ("exact", "modular"), "modular",
+                        help="oracle tier for the central grid (sweeps always use modular)"),
+    }),
+    "table": (cmd_table, "emit p,a,n,nu,branch rows", {
+        "--p": _Flag("p", required=True),
+        "--a": _Flag("a", required=True),
+        "--n-max": _Flag("n_max", required=True),
+        "--format": _Flag("format", str, ("csv", "json"), "csv"),
+    }),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed command, with the same
+    attributes less command, or None for an argv argparse must judge."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, flags = _COMMANDS[argv[0]]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = flags.get(token)
+        if flag is None or flag.dest in values:
+            return None
+        if flag.type is bool:
+            values[flag.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = flag.type(value)
+        except ValueError:
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    for flag in flags.values():
+        if flag.dest not in values:
+            if flag.required:
+                return None
+            values[flag.dest] = flag.default
+    return SimpleNamespace(**values, func=func)
+
+
+# parse_args leaves a parser as it was, so one tree serves every call.  The
+# second item maps each command name to its subparser.
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="fibval",
+        description="p-adic valuations of Fibonomial coefficients: closed forms, "
+                    "brute-force cross-checks, scans and tables.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_line, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for option, flag in flags.items():
+            if flag.type is bool:
+                command.add_argument(option, action="store_true", dest=flag.dest,
+                                     help=flag.help)
+            else:
+                command.add_argument(option, **flag._asdict())
+        command.set_defaults(func=func)
+    return parser, dict(sub.choices)
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
+    """_parsers()[0].parse_args(argv), run only for an argv the reader turns
+    down; what the reader takes lacks the command attribute, which nothing reads."""
+    args = _read_argv(argv)
+    return _parsers()[0].parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -51,7 +51,7 @@ INTEGRITY_BRANCH = "integrity-error"
 SWEEP_CELL_CAP = 10**6  # most cells both sweeps may ask for; the acceptance grid asks for 11,299
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class VerifyConfig:
     primes: tuple[int, ...]
     a_max: int
@@ -81,7 +81,7 @@ class VerifyConfig:
         return range(1, a + 1)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Mismatch:
     p: int
     a: int | None

@@ -568,14 +568,21 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 
 
 def test_a_known_command_skips_the_top_level_parser(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser ran")
+    # a well-formed command of each kind is read without building argparse at all
+    def refuse():
+        raise AssertionError("the argparse parser was built")
 
-    monkeypatch.setattr(_parsers()[0], "parse_known_args", refuse)
+    monkeypatch.setattr(cli, "_parsers", refuse)
     assert run(capsys, "scan", "--p", "2", "--a", "2", "--n-max", "20",
                "--predicate", "odd_fibonomial") == (0, "1\n2\n4\n8\n16\n", "")
     assert run(capsys, "table", "--p", "5", "--a", "1", "--n-max", "1") == (
         0, "p,a,n,nu,branch\n5,1,1,1,s5 digit sum\n", "")
+    explain = ("eval", "--p", "2", "--m", "6", "--k", "2")
+    assert run(capsys, *explain, "--explain") == (0, GOLDEN_EXPLAIN[explain[1:]], "")
+    code, out, err = run(capsys, "verify", "--p-set", "3", "--a-max", "1", "--n-max", "5",
+                         "--tier", "exact")
+    assert (code, json.loads(out)["mismatches"]) == (0, [])
+    assert "mismatches" in err
 
 
 @pytest.mark.parametrize("argv, code, out", [
@@ -593,12 +600,12 @@ def test_console_entry_point_reads_sys_argv(capsys, monkeypatch, argv, code, out
     assert capsys.readouterr().out == out
 
 
-# A fresh process, since this one has imported verify already.  It checks which
-# modules load, not how long that takes, so a loaded host cannot fail it.
+# A fresh process, since this one has imported verify and argparse already.  It
+# checks which modules load, not how long that takes, so a loaded host cannot fail it.
 STARTUP_SET = """
 import contextlib, io, sys
 from fibval.cli import main
-heavy = ("dataclasses", "inspect", "fibval.verify")
+heavy = ("argparse", "dataclasses", "inspect", "fibval.verify")
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["scan", "--p", "7", "--a", "2", "--n-max", "20", "--predicate", "divisible"]),
              main(["table", "--p", "7", "--a", "1", "--n-max", "5", "--format", "json"]),
@@ -702,6 +709,17 @@ EDGE_ARGVS = [
     ["table", "--p", "5", "--a", "1", "--n-max", "2", "--", "x"],
     ["scan", "--p", "5", "--a", "1", "--n-max", "3", "--pred", "divisible"],
     ["eval", "--p", "2", "--a", "1", "--n", "1", "--p", "3"],
+    # the edges of the reader that skips argparse: each must match argparse either
+    # way, whether the reader takes the argv or hands it on
+    ["scan", "--p", "5", "--a", "-1", "--n-max", "3", "--predicate", "divisible"],
+    ["verify", "--p-set", "--", "--a-max", "1", "--n-max", "2"],
+    ["eval", "--p", "5", "--a", "1", "--n", "1", "--explain", "--explain"],
+    ["eval", "--p", "5", "--a", "1", "--n", "1", "--explain", "yes"],
+    ["verify", "--p-set", "", "--a-max", "1", "--n-max", "2"],
+    ["table", "--p", " 7", "--a", "1_0", "--n-max", "\u0663"],
+    ["scan", "--p", "5", "--a", "1", "--n-max", "3", "--predicate", "divisible", "--format", "--p"],
+    ["table", "--p", "5", "--a", "1", "--n-max"],
+    ["eval", "--p", "9" * 5000, "--a", "1", "--n", "1"],
 ]
 
 
@@ -721,3 +739,90 @@ def parse_outcome(parse, argv):
 @given(st.sampled_from(EDGE_ARGVS) | argvs())
 def test_parse_matches_the_top_level_parse(argv):
     assert parse_outcome(_parse_argv, argv) == parse_outcome(_parsers()[0].parse_args, argv), argv
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS)
+def test_each_edge_parses_as_the_top_level_parse(argv):
+    # every edge, each run: a draw of 300 from the test above may miss one
+    assert parse_outcome(_parse_argv, argv) == parse_outcome(_parsers()[0].parse_args, argv)
+
+
+# `fibval -h` and `fibval <command> -h` at 80 columns, as argparse printed them
+# before the flags moved into one table.  The parse test above cannot see help
+# drift, since both of its sides are built from that table.
+HELP = {
+    (): """\
+usage: fibval [-h] {eval,scan,verify,table} ...
+
+p-adic valuations of Fibonomial coefficients: closed forms, brute-force cross-
+checks, scans and tables.
+
+positional arguments:
+  {eval,scan,verify,table}
+    eval                evaluate one valuation
+    scan                list n <= n-max satisfying a predicate
+    verify              run the formula-vs-oracle grid
+    table               emit p,a,n,nu,branch rows
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("eval",): """\
+usage: fibval eval [-h] --p P [--a A] [--n N] [--m M] [--k K]
+                   [--method {formula,oracle,both}] [--explain]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 prime
+  --a A                 exponent in the central form (p^a*n, n)
+  --n N                 cofactor in the central form
+  --m M                 upper index in the general form (m, k)
+  --k K                 lower index in the general form
+  --method {formula,oracle,both}
+  --explain             print the branch trace
+""",
+    ("scan",): """\
+usage: fibval scan [-h] --p P --a A --n-max N_MAX --predicate
+                   {divisible,not_divisible,odd_fibonomial}
+                   [--format {lines,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --p P
+  --a A
+  --n-max N_MAX
+  --predicate {divisible,not_divisible,odd_fibonomial}
+  --format {lines,json}
+""",
+    ("verify",): """\
+usage: fibval verify [-h] --p-set P_SET --a-max A_MAX --n-max N_MAX
+                     [--index-cap INDEX_CAP] [--tier {exact,modular}]
+
+options:
+  -h, --help            show this help message and exit
+  --p-set P_SET         comma-separated primes, e.g. 2,3,5,7
+  --a-max A_MAX
+  --n-max N_MAX
+  --index-cap INDEX_CAP
+                        skip cells with p^a*n beyond this (default 100000)
+  --tier {exact,modular}
+                        oracle tier for the central grid (sweeps always use
+                        modular)
+""",
+    ("table",): """\
+usage: fibval table [-h] --p P --a A --n-max N_MAX [--format {csv,json}]
+
+options:
+  -h, --help           show this help message and exit
+  --p P
+  --a A
+  --n-max N_MAX
+  --format {csv,json}
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=lambda command: " ".join(command) or "top")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *command, "-h") == (0, HELP[command], "")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -141,6 +142,19 @@ def test_config_rejects_an_index_cap_past_2_63_at_once(index_cap):
 def test_config_rejects_empty_or_repeated_primes(primes):
     with pytest.raises(ValueError, match="VerifyConfig.primes"):
         small_config(primes=primes)
+
+
+@pytest.mark.parametrize("record", [
+    small_config(),
+    verify.Mismatch(p=3, a=1, n=1, formula=0, oracle=1, branch="Cp:pm2 a odd r=s", m=3, k=1,
+                    check="central"),
+], ids=["VerifyConfig", "Mismatch"])
+def test_config_and_mismatch_are_read_only(record):
+    # as frozen slots=True dataclasses, an unknown name raised TypeError on Python 3.11
+    with pytest.raises(AttributeError):
+        setattr(record, dataclasses.fields(record)[0].name, 5)
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_composite_prime_rejected():
