@@ -4,11 +4,15 @@ Two deliberately naive, mutually independent routes:
 
 * tier A ("exact"): build the Fibonomial coefficient as a big integer, the
   quotient F_(m-k+1)...F_m / (F_1...F_k) with k = min(k, m - k), and count
-  prime factors directly.  Each product multiplies runs of 32 factors, then
-  the run products as a balanced tree, so that its large multiplications
-  pair operands of like size.  Tier A keeps no state between calls; its
-  index cap, the ``cap`` argument alone (EXACT_CAP_DEFAULT if not given, at
-  most EXACT_CAP_MAX), bounds the time a call takes;
+  prime factors directly.  Each F_i with i > k/2 is first cancelled, by a
+  division checked by its remainder, into a window factor at a multiple of
+  i when it divides it, which leaves about a quarter of the divisor's bits
+  for the one final division.  Each product multiplies runs of 32 factors,
+  then the run products as a balanced tree, so that its large
+  multiplications pair operands of like size.  Tier A keeps no state
+  between calls; its index cap, the ``cap`` argument alone
+  (EXACT_CAP_DEFAULT if not given, at most EXACT_CAP_MAX), bounds the time
+  a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -40,6 +44,7 @@ from __future__ import annotations
 import threading
 from array import array
 from enum import Enum
+from math import prod
 
 from .arith import (
     FormulaIntegrityError,
@@ -53,7 +58,7 @@ from .arith import (
 )
 
 EXACT_CAP_DEFAULT = 400
-# highest tier-A cap: one call at m = 2000, k = 1000 takes under a second
+# highest tier-A cap: one call at m = 2000, k = 1000 takes about a quarter second
 EXACT_CAP_MAX = 2000
 MODULAR_CAP = 10**7
 # most tier-B prefix entries over all primes (8 bytes each): two full prefixes
@@ -88,18 +93,32 @@ def _product(xs: list[int], lo: int, hi: int) -> int:
     return _product(xs, lo, mid) * _product(xs, mid, hi)
 
 
+def _run_product(xs: list[int]) -> int:
+    """The product of xs: runs of _RUN factors one at a time, then the runs as a tree."""
+    runs = [prod(xs[start:start + _RUN]) for start in range(0, len(xs), _RUN)]
+    return _product(runs, 0, len(runs)) if runs else 1
+
+
 def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     """The Fibonomial coefficient as an exact integer.
 
     With k = min(k, m - k), F_(m-k+1)...F_m is divided by F_1...F_k; both
-    products step a Fibonacci pair by addition, and the division is
-    asserted exact, witnessing integrality on every call.  Each product
-    multiplies runs of _RUN factors one at a time, then the run products
-    as a balanced tree: multiplying a growing product by one factor at a
-    time costs time quadratic in its size, while a tree multiplies
-    operands of like size, which Karatsuba speeds up.  ``cap``, the index
-    cap, is EXACT_CAP_DEFAULT if not given and must lie between 1 and
-    EXACT_CAP_MAX.
+    lists of factors step a Fibonacci pair by addition.  Before either
+    product is built, each F_i with k/2 < i <= k is divided into the window
+    factor at the first multiple of i, else at the next one if the window
+    holds it, wherever that division leaves no remainder; an F_i neither
+    takes stays in the divisor.  F_i | F_j for i | j only chooses where a
+    division is tried: each is checked by its remainder, so the quotient is
+    unchanged and the one final division, of what the window keeps by what
+    the divisor keeps, is still asserted exact, witnessing integrality on
+    every call.  The factors F_i with i > k/2 hold about three quarters of
+    the divisor's bits, and each has at most two multiples in the window.
+    Each product multiplies runs of _RUN factors one at a time, then the
+    run products as a balanced tree: multiplying a growing product by one
+    factor at a time costs time quadratic in its size, while a tree
+    multiplies operands of like size, which Karatsuba speeds up.  ``cap``,
+    the index cap, is EXACT_CAP_DEFAULT if not given and must lie between
+    1 and EXACT_CAP_MAX.
     """
     if cap is None:
         cap = EXACT_CAP_DEFAULT
@@ -115,18 +134,27 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     top, top_next = fib(m - k), fib(m - k + 1)
     if not k:
         return 1
-    nums, dens = [], []
+    lo = m - k + 1
+    window, lows = [], []  # F_lo..F_m and F_1..F_k
     low, low_next = 0, 1
-    for start in range(0, k, _RUN):
-        num = den = 1
-        for _ in range(start, min(start + _RUN, k)):
-            top, top_next = top_next, top + top_next
-            low, low_next = low_next, low + low_next
-            num *= top
-            den *= low
-        nums.append(num)
-        dens.append(den)
-    q, r = divmod(_product(nums, 0, len(nums)), _product(dens, 0, len(dens)))
+    for _ in range(k):
+        top, top_next = top_next, top + top_next
+        low, low_next = low_next, low + low_next
+        window.append(top)
+        lows.append(low)
+    dens = lows[:k // 2]
+    for i in range(k // 2 + 1, k + 1):
+        f = lows[i - 1]
+        j = -lo % i  # window offset of the first multiple of i
+        q, r = divmod(window[j], f)
+        if r and j + i < k:
+            j += i
+            q, r = divmod(window[j], f)
+        if r:
+            dens.append(f)
+        else:
+            window[j] = q
+    q, r = divmod(_run_product(window), _run_product(dens))
     if r:
         raise FormulaIntegrityError(f"Fibonomial product not an integer at (m={m}, k={k})")
     return q
@@ -204,6 +232,8 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if tier is _EXACT:
         return tuple.__new__(Valuation, (_nu_int(p, fibonomial_exact(m, k, cap=cap)),))
+    if tier is not _MODULAR:
+        raise ValueError(f"tier must be an OracleTier, got {tier!r}")
     if cap is not None:
         raise ValueError(f"the modular tier takes no cap (it is capped at m <= {MODULAR_CAP}), "
                          f"got cap={show_int(cap)}")

@@ -69,6 +69,8 @@ class VerifyConfig:
                 raise ValueError(f"VerifyConfig.{name} must be >= 1, got {show_int(value)}")
         if self.index_cap > INDEX_CAP:
             raise ValueError(f"VerifyConfig.index_cap {show_int(self.index_cap)} exceeds 2^63")
+        if not isinstance(self.tier, OracleTier):
+            raise ValueError(f"VerifyConfig.tier must be an OracleTier, got {self.tier!r}")
 
     def n_limit(self, p: int, a: int) -> int:
         return min(self.n_max, self.index_cap // p**a)

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -43,9 +44,38 @@ def test_exact_examples():
 
 
 def test_exact_matches_definition_small_grid():
-    for m in range(0, 26):
+    for m in range(0, 41):
         for k in range(0, m + 1):
             assert fibonomial_exact(m, k) == fibonomial_by_definition(m, k)
+
+
+def divisors_seen(monkeypatch) -> list[int]:
+    # a module global shadows the builtin: this records every divisor tier A divides by
+    seen = []
+    monkeypatch.setattr(oracle, "divmod", lambda a, b: seen.append(b) or divmod(a, b),
+                        raising=False)
+    return seen
+
+
+# The smallest cells where F_i is not cancelled into its first multiple: F_18 has
+# already given up F_6 and no longer takes F_9.  In the window F_18..F_27 of
+# (27, 10), F_27 takes it; in F_13..F_21 of (21, 9), F_9 stays in the divisor.
+@pytest.mark.parametrize("m, k, kept", [(27, 10, []), (21, 9, [9])],
+                         ids=["second-multiple", "kept-in-divisor"])
+def test_exact_cancellation_outcomes(monkeypatch, m, k, kept):
+    seen = divisors_seen(monkeypatch)
+    assert fibonomial_exact(m, k) == fibonomial_by_definition(m, k)
+    assert seen[-1] == prod(fib(i) for i in [*range(1, k // 2 + 1), *kept])
+
+
+@pytest.mark.parametrize("m, k", [(400, 200), (480, 240)])
+def test_exact_final_divisor_is_under_30_percent_of_f1_to_fk(monkeypatch, m, k):
+    # counted work beside the clocks: the one quadratic division is by what the
+    # cancellations leave of F_1...F_k, about a quarter of its bits, not all of it
+    seen = divisors_seen(monkeypatch)
+    assert fibonomial_exact(m, k, cap=m) == fibonomial_row(m)[k]
+    full_bits = sum(fib(i).bit_length() for i in range(1, k + 1))
+    assert max(d.bit_length() for d in seen) <= 0.3 * full_bits
 
 
 @settings(max_examples=60)
@@ -164,6 +194,13 @@ def test_modular_tier_rejects_k_outside_0_to_m(cold_prefixes, warm, k):
         nu_fibonomial_oracle(3, 2000, 1)
     with pytest.raises(ValueError, match="need 0 <= k <= m"):
         nu_fibonomial_oracle(3, 500, k, OracleTier.MODULAR)
+
+
+@pytest.mark.parametrize("tier", ["exact", "modular", None])
+def test_oracle_rejects_a_tier_that_is_not_an_oracle_tier(tier):
+    # a string tier once fell through to tier B, whatever it named
+    with pytest.raises(ValueError, match="tier must be an OracleTier"):
+        nu_fibonomial_oracle(3, 10, 5, tier)
 
 
 def test_modular_cap_enforced():

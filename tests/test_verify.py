@@ -144,6 +144,13 @@ def test_config_rejects_empty_or_repeated_primes(primes):
         small_config(primes=primes)
 
 
+@pytest.mark.parametrize("tier", ["exact", "modular", None])
+def test_config_rejects_a_tier_that_is_not_an_oracle_tier(tier):
+    # a string tier once ran tier B and then broke the report's to_json()
+    with pytest.raises(ValueError, match="VerifyConfig.tier must be an OracleTier"):
+        small_config(tier=tier)
+
+
 @pytest.mark.parametrize("record", [
     small_config(),
     verify.Mismatch(p=3, a=1, n=1, formula=0, oracle=1, branch="Cp:pm2 a odd r=s", m=3, k=1,
