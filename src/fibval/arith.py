@@ -30,9 +30,16 @@ def show_int(x: int) -> str:
     return str(x) if x.bit_length() <= 1024 else f"{sign}<{x.bit_length()}-bit integer>"
 
 
-# Deterministic Miller-Rabin witness set for n < 2^64.
+# Deterministic Miller-Rabin: the first t bases decide every n below the bound
+# paired with t, the least strong pseudoprime to those t bases: Jaeschke, Math.
+# Comp. 61 (1993) up to 341550071728321; Jiang and Deng, Math. Comp. 83 (2014)
+# for 3825123056546413051; Sorenson and Webster, Math. Comp. 86 (2017) for 12
+# bases, whose bound lies beyond 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_GUARD = 1 << 64
+_MR_TIERS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+             (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+             (_PRIME_GUARD, 12))
 
 
 def is_prime(n: int) -> bool:
@@ -49,7 +56,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for base in _MR_BASES:
+    for bound, t in _MR_TIERS:
+        if n < bound:
+            break
+    for base in _MR_BASES[:t]:
         x = pow(base, d, n)
         if x in (1, n - 1):
             continue

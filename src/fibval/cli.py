@@ -16,17 +16,19 @@ many cells before the first; eval computes each value before printing any.
 
 Each command's flags are declared once, in ``_COMMANDS``.  A well-formed
 argv is read from that table without argparse: a command name, then exact
-flags of that command, none twice, each valued one followed by a value that
-does not begin with "-", converts by the flag's type and is one of its
-choices, if it has any, and every required flag given.  Any other argv
-(help, no command or an unknown one, an abbreviated flag, ``--p=5``, a
-negative value, a repeated flag, a bad or missing value) goes to the
-argparse parser built from the same table, which gives the same namespace,
-message and exit code as always.  argparse is imported and the parser built
-only then, once per process.
+flags of that command, each valued one followed by a value that does not
+begin with "-", converts by the flag's type and is one of its choices, if it
+has any, and every required flag given (the last of a repeated flag wins, as
+in argparse).  Any other argv (help, no command or an unknown one, an
+abbreviated flag, ``--p=5``, a negative value, a bad or missing value) goes
+to the argparse parser built from the same table, which gives the same
+namespace, message and exit code as always.  argparse is imported and the
+parser built only then, once per process.
 
-table writes its rows one at a time as they are computed (JSON from one
-fixed row template), so its memory does not grow with --n-max.
+table writes its rows one at a time as they are computed, so its memory
+does not grow with --n-max: a JSON row is one f-string in the layout of
+json.dumps(rows, indent=2), its branch label's JSON text computed once per
+label, and CSV rows go through one csv.writer.
 
 The verify module (and with it ``dataclasses`` and ``inspect``) loads with
 its command, inside cmd_verify: the parser and main() read its default and
@@ -144,23 +146,20 @@ def _odd_fibonomial(p: int, a: int, n: int) -> bool:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.predicate == "odd_fibonomial":
-        require_prime(args.p)  # for p != 2 it evaluates at the prime 2 only
+    p, a, predicate = args.p, args.a, args.predicate
+    if predicate == "odd_fibonomial":
+        require_prime(p)  # for p != 2 it evaluates at the prime 2 only
     _check_range(args)  # otherwise the first row's rank gate rejects a bad p
-    hits = []
-    for n in range(1, args.n_max + 1):
-        if args.predicate == "odd_fibonomial":
-            keep = _odd_fibonomial(args.p, args.a, n)
-        else:
-            divisible = divides_p_central(args.p, args.a, n)[0]
-            keep = divisible if args.predicate == "divisible" else not divisible
-        if keep:
-            hits.append(n)
+    cofactors = range(1, args.n_max + 1)
+    if predicate == "odd_fibonomial":
+        hits = [n for n in cofactors if _odd_fibonomial(p, a, n)]
+    else:
+        keep = predicate == "divisible"
+        hits = [n for n in cofactors if divides_p_central(p, a, n)[0] == keep]
     if args.format == "json":
         print(json.dumps(hits))
     else:
-        for n in hits:
-            print(n)
+        sys.stdout.write("".join(f"{n}\n" for n in hits))
     return EXIT_OK
 
 
@@ -182,28 +181,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _table_rows(args: argparse.Namespace) -> Iterator[tuple[int, int, int, int, str]]:
-    for n in range(1, args.n_max + 1):
-        val, trace = nu_central(args.p, args.a, n)
-        yield args.p, args.a, n, val.value, trace.branch_label
+def _table_rows(p: int, a: int, n_max: int) -> Iterator[tuple[int, int, int, int, str]]:
+    for n in range(1, n_max + 1):
+        val, trace = nu_central(p, a, n)
+        yield p, a, n, val.value, trace.branch_label
 
 
-# one row of json.dumps(rows, indent=2), the row dict keyed p, a, n, nu, branch
-_JSON_ROW = '  {{\n    "p": {},\n    "a": {},\n    "n": {},\n    "nu": {},\n    "branch": {}\n  }}'
+# a branch label's JSON text; labels are the closed set in formulas.BRANCH_REACH
+_json_label = functools.cache(json.dumps)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     """Write the rows as they are computed, in the bytes of one
     json.dumps(rows, indent=2) or one csv.writer pass over all rows."""
     _check_range(args)
-    rows = _table_rows(args)
+    rows = _table_rows(args.p, args.a, args.n_max)
     rows = itertools.chain([next(rows)], rows)  # a bad prime fails here, before any output
     if args.format == "json":
+        write = sys.stdout.write
         sep = "[\n"
-        for p, a, n, nu, branch in rows:
-            sys.stdout.write(sep + _JSON_ROW.format(p, a, n, nu, json.dumps(branch)))
+        for p, a, n, nu, branch in rows:  # one row of the dump, keyed p, a, n, nu, branch
+            write(f'{sep}  {{\n    "p": {p},\n    "a": {a},\n    "n": {n},\n    "nu": {nu},'
+                  f'\n    "branch": {_json_label(branch)}\n  }}')
             sep = ",\n"
-        sys.stdout.write("\n]\n")
+        write("\n]\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["p", "a", "n", "nu", "branch"])
@@ -271,7 +272,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     tokens = iter(argv[1:])
     for token in tokens:
         flag = flags.get(token)
-        if flag is None or flag.dest in values:
+        if flag is None:
             return None
         if flag.type is bool:
             values[flag.dest] = True

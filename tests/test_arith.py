@@ -192,6 +192,56 @@ def test_is_prime_spot_checks():
         is_prime(2**64)
 
 
+def test_is_prime_agrees_with_a_sieve_below_1e5():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def strong_probable_prime(n: int, base: int) -> bool:
+    """Does odd n pass one Miller-Rabin round to this base?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# The least strong pseudoprime to the first t prime bases, with t.  Below each
+# bound is_prime runs t bases; at the bound it must run more.
+MR_TIER_BOUNDS = [
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+]
+
+
+@pytest.mark.parametrize("bound, t", MR_TIER_BOUNDS)
+def test_is_prime_rejects_each_tier_bound(bound, t):
+    # each bound fools the first t bases, so an is_prime that picked its tier
+    # by n <= bound would call it prime (2047 = 23 * 89 falls to trial
+    # division first, so only the seven larger bounds catch that)
+    assert all(strong_probable_prime(bound, base) for base in (2, 3, 5, 7, 11, 13, 17, 19, 23)[:t])
+    assert not is_prime(bound)
+
+
+def test_is_prime_below_1373653_runs_two_bases(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arith, "pow", lambda *args: calls.append(args) or pow(*args),
+                        raising=False)
+    assert is_prime(1000003)
+    assert [base for base, _, _ in calls] == [2, 3]
+
+
 # --- floor/fraction bookkeeping -------------------------------------------
 # Exact rationals as (num, den) pairs with den >= 1; floor is Python's //.
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import fibval.formulas as formulas
 from fibval import cli, oracle, rank, verify
 from fibval.arith import _index_valuation, fib_mod
-from fibval.cli import N_MAX_CAP, _parse_argv, _parsers, console_main, main
+from fibval.cli import N_MAX_CAP, _parse_argv, _parsers, _read_argv, console_main, main
 from fibval.oracle import fibonomial_exact
 from fibval.verify import SWEEP_CELL_CAP
 
@@ -320,6 +321,24 @@ def test_scan_odd_fibonomial_odd_p(capsys):
     assert [int(line) for line in out.splitlines()] == expected
 
 
+def test_scan_lines_with_no_hits_prints_nothing(capsys):
+    # p = 5 divides every central coefficient, so nothing is not divisible
+    assert run(capsys, "scan", "--p", "5", "--a", "1", "--n-max", "9",
+               "--predicate", "not_divisible") == (0, "", "")
+
+
+@pytest.mark.parametrize("p, a, predicate", [
+    (3, 1, "divisible"), (7, 2, "not_divisible"), (2, 3, "odd_fibonomial"),
+    (5, 1, "not_divisible"),  # no hits: "[]"
+])
+def test_scan_json_is_one_dump(capsys, p, a, predicate):
+    argv = ["scan", "--p", str(p), "--a", str(a), "--n-max", "60", "--predicate", predicate]
+    code, lines, _ = run(capsys, *argv)
+    assert code == 0
+    hits = [int(line) for line in lines.splitlines()]
+    assert run(capsys, *argv, "--format", "json") == (0, json.dumps(hits) + "\n", "")
+
+
 def test_scan_cap_exceeded(capsys):
     code, _, err = run(capsys, "scan", "--p", "2", "--a", "62", "--n-max", "100",
                        "--predicate", "divisible")
@@ -415,6 +434,20 @@ def test_table_json_is_one_dump(capsys, p, a, n_max):
         val, trace = formulas.nu_central(p, a, n)
         rows.append({"p": p, "a": a, "n": n, "nu": val.value, "branch": trace.branch_label})
     assert out == json.dumps(rows, indent=2) + "\n"
+
+
+def test_table_csv_is_one_writer_pass(capsys):
+    # the (2, a odd) labels hold a comma, which csv.writer must quote
+    code, out, _ = run(capsys, "table", "--p", "2", "--a", "1", "--n-max", "40")
+    assert code == 0
+    rows = [["p", "a", "n", "nu", "branch"]]
+    for n in range(1, 41):
+        val, trace = formulas.nu_central(2, 1, n)
+        rows.append([2, 1, n, val.value, trace.branch_label])
+    assert any("," in row[4] for row in rows[1:])
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(rows)
+    assert out == expected.getvalue()
 
 
 def test_table_streams_its_rows():
@@ -745,6 +778,21 @@ def test_parse_matches_the_top_level_parse(argv):
 def test_each_edge_parses_as_the_top_level_parse(argv):
     # every edge, each run: a draw of 300 from the test above may miss one
     assert parse_outcome(_parse_argv, argv) == parse_outcome(_parsers()[0].parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--p", "2", "--a", "1", "--n", "1", "--p", "3"],
+    ["eval", "--p", "5", "--a", "1", "--n", "1", "--explain", "--explain"],
+    ["scan", "--p", "5", "--a", "1", "--n-max", "3", "--predicate", "divisible",
+     "--format", "json", "--predicate", "not_divisible", "--format", "lines"],
+    ["table", "--n-max", "1", "--p", "5", "--a", "1", "--n-max", "2"],
+    ["verify", "--p-set", "2", "--a-max", "1", "--n-max", "2", "--p-set", "3,5"],
+])
+def test_a_repeated_flag_keeps_its_last_value_as_in_argparse(argv):
+    # the reader takes these itself; argparse's last-one-wins is the reference
+    expected = vars(_parsers()[0].parse_args(argv))
+    del expected["command"]
+    assert vars(_read_argv(argv)) == expected
 
 
 # `fibval -h` and `fibval <command> -h` at 80 columns, as argparse printed them
