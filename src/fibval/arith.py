@@ -19,9 +19,15 @@ class FormulaIntegrityError(RuntimeError):
 
 class Valuation(NamedTuple):
     """Just a nonnegative prime exponent.  It stays a record, not a bare int,
-    because perfbench/workloads.py reads ``.value`` from formula and oracle results."""
+    because perfbench/workloads.py reads ``.value`` from formula and oracle results.
+    Results below _VALUATION_BOUND share the immutable entries of _VALUATIONS,
+    built once here; a larger one is built anew.  The table goes with Valuation."""
 
     value: int
+
+
+_VALUATION_BOUND = 128
+_VALUATIONS = tuple(Valuation(v) for v in range(_VALUATION_BOUND))
 
 
 def show_int(x: int) -> str:

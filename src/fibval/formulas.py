@@ -30,12 +30,14 @@ global costs about 0.01 us, and one evaluation makes several such reads.
 The formulas themselves stay module globals looked up at call time, so
 that a tracer can patch them.
 
-Results are built as plain tuples: every ``BranchTrace`` and ``Valuation``
-comes from ``tuple.__new__`` with its fields positionally in declared
-order, which skips the keyword-argument ``__new__`` of a NamedTuple.  A
-slip in that order would go unnoticed by the type, so
-``test_trace_field_order`` pins the field order and the golden traces in
-``tests/test_formulas.py`` pin every construction site.
+Results skip a NamedTuple's keyword-argument ``__new__``.  Each site checks
+that its value is not negative, then reads it from ``arith._VALUATIONS``
+(Valuation(0) .. Valuation(127), built once) or, past that bound, builds a
+``Valuation``.  Each ``BranchTrace`` comes from ``_new``, ``tuple.__new__``
+bound once (on CPython 3.11 every ``tuple.__new__`` is a lookup on a type),
+with its fields positionally in declared order.  A slip in that order would
+go unnoticed by the type, so ``test_trace_field_order`` pins the field
+order and the golden traces in ``tests/test_formulas.py`` pin every site.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .arith import (
+    _VALUATION_BOUND,
+    _VALUATIONS,
     FormulaIntegrityError,
     Valuation,
     _nu_factorial_int,
@@ -56,6 +60,7 @@ from .rank import _PLUS_MINUS_1, _PLUS_MINUS_2, RankRecord, rank_of_apparition
 # Residues and floors use a fixed-width fast path; larger indices would
 # need new caps on the oracle side anyway.
 INDEX_CAP = 1 << 63
+_new = tuple.__new__  # builds every BranchTrace (see the module docstring)
 
 
 class Theorem(Enum):
@@ -208,7 +213,7 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
         raise ValueError(f"m={show_int(m)} exceeds the 2^63 cap")
     if k == 0 or k == m:
         theorem = _T2ADIC_GENERAL if p == 2 else _T5ADIC if p == 5 else _TP_GENERAL_MK
-        return tuple.__new__(Valuation, (0,)), tuple.__new__(BranchTrace, (
+        return _VALUATIONS[0], _new(BranchTrace, (
             theorem, BOUNDARY_LABEL, None, None, None, None, None, None, None, None, None,
             None, None))
     if p == 2:
@@ -241,17 +246,19 @@ def _nu2_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     value = a2 + bump
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p=2, m={m}, k={k})")
-    trace = tuple.__new__(BranchTrace, (
+    trace = _new(BranchTrace, (
         _T2ADIC_GENERAL, label, 6, r, s, a2, None, None, 3, 1, None, None, None))
-    return tuple.__new__(Valuation, (value,)), trace
+    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 def _nu5_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
     # 5-adically the Fibonomial and the ordinary binomial agree.
     value = _binom_val(5, m, k)
-    trace = tuple.__new__(BranchTrace, (
+    if value < 0:
+        raise FormulaIntegrityError(f"negative valuation at (p=5, m={m}, k={k})")
+    trace = _new(BranchTrace, (
         _T5ADIC, "binomial", 5, None, None, None, None, None, 5, 1, None, None, None))
-    return tuple.__new__(Valuation, (value,)), trace
+    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrace]:
@@ -264,9 +271,11 @@ def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrac
         label = "r<s"
     else:
         label = "r>=s"
-    trace = tuple.__new__(BranchTrace, (
+    if value < 0:
+        raise FormulaIntegrityError(f"negative valuation at (p={p}, m={m}, k={k})")
+    trace = _new(BranchTrace, (
         _TP_GENERAL_MK, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
-    return tuple.__new__(Valuation, (value,)), trace
+    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +339,10 @@ def _nu2_ratio(l1: int, b: int, l2: int, a: int) -> tuple[Valuation, BranchTrace
             label = "p2 a!=b (2,2)"
     if value < 0:
         raise FormulaIntegrityError(f"negative ratio valuation at (2, {l1}, {b}, {l2}, {a})")
-    trace = tuple.__new__(BranchTrace, (
+    trace = _new(BranchTrace, (
         _TRATIO, label, 3, l1 * pow(2, b, 3) % 3, l2 * pow(2, a, 3) % 3,
         None, None, None, 3, 1, None, m2, k2))
-    return tuple.__new__(Valuation, (value,)), trace
+    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
@@ -371,9 +380,9 @@ def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
                 label = "pm2 a odd r<s"
     if value < 0:
         raise FormulaIntegrityError(f"negative ratio valuation at ({p}, {l1}, {b}, {l2}, {a})")
-    trace = tuple.__new__(BranchTrace, (
+    trace = _new(BranchTrace, (
         _TRATIO, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
-    return tuple.__new__(Valuation, (value,)), trace
+    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +440,9 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     value = delta + A.bit_count() - coeff * eps
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p=2, a={a}, n={n})")
-    trace = tuple.__new__(BranchTrace, (
+    trace = _new(BranchTrace, (
         _C2ADIC, label, 6, index % 6, res6, A, delta, eps, 3, 1, b, None, None))
-    return tuple.__new__(Valuation, (value,)), trace
+    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
@@ -445,10 +454,10 @@ def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     value = ssum // 4
     if value < 1:
         raise FormulaIntegrityError(f"5-adic central valuation must be >= 1, got {value}")
-    trace = tuple.__new__(BranchTrace, (
+    trace = _new(BranchTrace, (
         _C5ADIC, "s5 digit sum", 5, 0, n % 5, A, None, None, 5, 1, _nu_int(5, n),
         None, None))
-    return tuple.__new__(Valuation, (value,)), trace
+    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
@@ -508,9 +517,9 @@ def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
         value = base + delta
     if value < 0:
         raise FormulaIntegrityError(f"negative valuation at (p={p}, a={a}, n={n})")
-    trace = tuple.__new__(BranchTrace, (
+    trace = _new(BranchTrace, (
         _CP, label, z, r, s, A, delta, None, z, nu_fz, b, None, None))
-    return tuple.__new__(Valuation, (value,)), trace
+    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 def nu_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:

@@ -47,6 +47,8 @@ from enum import Enum
 from math import prod
 
 from .arith import (
+    _VALUATION_BOUND,
+    _VALUATIONS,
     FormulaIntegrityError,
     Valuation,
     _index_valuation,
@@ -226,12 +228,14 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if not given; the modular tier is capped at MODULAR_CAP and rejects any
     ``cap`` given.
     """
-    if tier is _EXACT or p not in _val_sums:
+    sums = _val_sums.get(p)
+    if tier is _EXACT or sums is None:
         require_prime(p)
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if tier is _EXACT:
-        return tuple.__new__(Valuation, (_nu_int(p, fibonomial_exact(m, k, cap=cap)),))
+        value = _nu_int(p, fibonomial_exact(m, k, cap=cap))
+        return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value)
     if tier is not _MODULAR:
         raise ValueError(f"tier must be an OracleTier, got {tier!r}")
     if cap is not None:
@@ -239,12 +243,13 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
                          f"got cap={show_int(cap)}")
     if m > MODULAR_CAP:
         raise ValueError(f"modular tier capped at m <= {MODULAR_CAP}, got m={show_int(m)}")
-    sums = _valuation_prefix(p, m)
+    if sums is None or len(sums) <= m:
+        sums = _valuation_prefix(p, m)
     total = sums[m] - sums[m - k] - sums[k]
     if total < 0:
         raise FormulaIntegrityError(
             f"negative valuation sum at (p={p}, m={m}, k={k}); integrality violated")
-    return tuple.__new__(Valuation, (total,))
+    return _VALUATIONS[total] if total < _VALUATION_BOUND else Valuation(total)
 
 
 def clear_caches() -> None:

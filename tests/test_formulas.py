@@ -10,7 +10,7 @@ import fibval.formulas as formulas
 import fibval.oracle as oracle_module
 import fibval.verify as verify
 from fibval import rank
-from fibval.arith import FormulaIntegrityError, Valuation, _nu_factorial_int
+from fibval.arith import _VALUATIONS, FormulaIntegrityError, Valuation, _nu_factorial_int
 from fibval.formulas import (
     BOUNDARY_LABEL,
     INDEX_CAP,
@@ -226,6 +226,18 @@ def test_delta_table_mutation_trips_integrity_check(monkeypatch):
     monkeypatch.setitem(formulas.DELTA2_EVEN_A, 3, 0)
     with pytest.raises(FormulaIntegrityError):
         nu2_central(2, 3)
+
+
+# The general formula at (5, 12, 3) takes the binomial nu_5(12!) - nu_5(3!) -
+# nu_5(9!), and at (7, 20, 9) the binomial of (20 // 8, 9 // 8) = (2, 1); a
+# negative nu_p(mp!) makes either value negative, which must raise rather
+# than read _VALUATIONS[-1].
+@pytest.mark.parametrize("p, m, k", [(5, 12, 3), (7, 20, 9)])
+def test_negative_general_value_trips_integrity_check(p, m, k, monkeypatch):
+    mp = m if p == 5 else m // rank_of_apparition(p).z
+    monkeypatch.setattr(formulas, "_nu_factorial_int", lambda q, n: -1 if n == mp else 0)
+    with pytest.raises(FormulaIntegrityError, match="negative valuation"):
+        nu_fibonomial_formula(p, m, k)
 
 
 # --- central 5-adic ---------------------------------------------------------
@@ -553,3 +565,41 @@ def test_golden_trace_fields(fn, args, value, fields):
     assert len(trace) == len(BranchTrace._fields)
     assert tuple(trace) == fields
     assert trace == BranchTrace(*fields)
+
+
+# --- shared results ---------------------------------------------------------
+
+def _every_result_site():
+    """(value, result) from every formula site and both oracle tiers."""
+    for fn, args, value, _ in (param.values for param in GOLDEN_TRACES):
+        yield value, fn(*args)[0]
+    for p, a, n in ((2, 1, 5), (3, 2, 4), (5, 1, 7), (7, 1, 8), (11, 1, 12)):
+        m = p**a * n
+        for result in (nu_central(p, a, n)[0], nu_fibonomial_formula(p, m, n)[0],
+                       nu_fibonomial_oracle(p, m, n, OracleTier.MODULAR),
+                       nu_fibonomial_oracle(p, m, n, OracleTier.EXACT)):
+            yield oracle(p, m, n), result
+    for p, l1, b, l2, a in ((2, 3, 2, 1, 1), (3, 2, 1, 1, 1), (7, 3, 2, 2, 1)):
+        value = oracle(p, l1 * p**b, l2 * p**a)
+        yield value, nu_ratio_prime_powers(p, l1, b, l2, a)[0]
+
+
+def test_small_results_are_the_shared_table_entries():
+    results = list(_every_result_site())
+    assert {value for value, _ in results} >= {0, 1, 2}
+    for value, result in results:
+        assert type(result) is Valuation
+        assert result is _VALUATIONS[value]
+
+
+def test_results_past_the_table_are_built_valuations(monkeypatch):
+    # no workload or known input reaches a value of 128, so the bound is
+    # lowered to 0 to send every result through the construction past it
+    for module in (formulas, oracle_module):
+        monkeypatch.setattr(module, "_VALUATION_BOUND", 0)
+    for value, result in _every_result_site():
+        assert type(result) is Valuation
+        assert result.value == value and result == (value,)
+        assert value == 0 or result is not _VALUATIONS[value]
+    big = Valuation(200)
+    assert type(big) is Valuation and big.value == 200 and big == (200,)
