@@ -4,15 +4,17 @@ Two deliberately naive, mutually independent routes:
 
 * tier A ("exact"): build the Fibonomial coefficient as a big integer, the
   quotient F_(m-k+1)...F_m / (F_1...F_k) with k = min(k, m - k), and count
-  prime factors directly.  Each F_i with i > k/2 is first cancelled, by a
-  division checked by its remainder, into a window factor at a multiple of
-  i when it divides it, which leaves about a quarter of the divisor's bits
-  for the one final division.  Each product multiplies runs of 32 factors,
-  then the run products as a balanced tree, so that its large
-  multiplications pair operands of like size.  Tier A keeps no state
-  between calls; its index cap, the ``cap`` argument alone
-  (EXACT_CAP_DEFAULT if not given, at most EXACT_CAP_MAX), bounds the time
-  a call takes;
+  prime factors directly.  Each F_i with i > k/4, largest first, is first
+  cancelled, by a division checked by its remainder, into a window factor
+  at one of the first two multiples of i that no earlier F_i has divided,
+  which leaves about a sixth of the divisor's bits for the one final
+  division.  Each product multiplies runs of 32 factors, then the run
+  products as a balanced tree, so that its large multiplications pair
+  operands of like size.  nu_p of the quotient is read from its residue
+  mod a power of p below 2^30, one pass over the quotient per that many
+  factors of p.  Tier A keeps no state between calls; its index cap, the
+  ``cap`` argument alone (EXACT_CAP_DEFAULT if not given, at most
+  EXACT_CAP_MAX), bounds the time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -60,7 +62,7 @@ from .arith import (
 )
 
 EXACT_CAP_DEFAULT = 400
-# highest tier-A cap: one call at m = 2000, k = 1000 takes about a quarter second
+# highest tier-A cap: one call at m = 2000, k = 1000 takes about a tenth of a second
 EXACT_CAP_MAX = 2000
 MODULAR_CAP = 10**7
 # most tier-B prefix entries over all primes (8 bytes each): two full prefixes
@@ -74,6 +76,7 @@ INDEX_CAP_DEFAULT = 10**5
 EXIT_MISMATCH = 1
 EXIT_COVERAGE = 4
 _RUN = 32  # tier-A factors multiplied one at a time before the runs are paired
+_DIGIT = 1 << 30  # one CPython digit: a remainder by a smaller modulus takes one pass
 
 
 class OracleTier(Enum):
@@ -101,20 +104,46 @@ def _run_product(xs: list[int]) -> int:
     return _product(runs, 0, len(runs)) if runs else 1
 
 
+def _nu_exact(p: int, x: int) -> int:
+    """nu_p(x) for x >= 1, in one residue pass per E factors of p.
+
+    For p = 2 it is the index of x's lowest set bit.  Otherwise M = p^E is
+    the largest power of p below 2^30 (p itself if p >= 2^30): a residue
+    r = x mod M other than 0 gives nu_p(x) = nu_p(r), since r < M, and r = 0
+    divides x by M and reads again.
+    """
+    if x < 1:
+        raise FormulaIntegrityError(f"nu_{p}(x) needs x >= 1, got x={show_int(x)}")
+    if p == 2:
+        return (x & -x).bit_length() - 1
+    modulus, step = p, 1
+    while modulus * p < _DIGIT:
+        modulus, step = modulus * p, step + 1
+    e = 0
+    r = x % modulus
+    while not r:
+        x //= modulus
+        e += step
+        r = x % modulus
+    return e + _nu_int(p, r)
+
+
 def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     """The Fibonomial coefficient as an exact integer.
 
     With k = min(k, m - k), F_(m-k+1)...F_m is divided by F_1...F_k; both
     lists of factors step a Fibonacci pair by addition.  Before either
-    product is built, each F_i with k/2 < i <= k is divided into the window
-    factor at the first multiple of i, else at the next one if the window
-    holds it, wherever that division leaves no remainder; an F_i neither
-    takes stays in the divisor.  F_i | F_j for i | j only chooses where a
-    division is tried: each is checked by its remainder, so the quotient is
-    unchanged and the one final division, of what the window keeps by what
-    the divisor keeps, is still asserted exact, witnessing integrality on
-    every call.  The factors F_i with i > k/2 hold about three quarters of
-    the divisor's bits, and each has at most two multiples in the window.
+    product is built, each F_i with k/4 < i <= k, from i = k down, is
+    divided into the window factor at the first multiple of i, else at the
+    next one, that no earlier F_i has divided, if the window holds it; a
+    bytearray marks the factors divided.  A division that leaves a
+    remainder, or an F_i with no such factor, leaves F_i in the divisor.
+    F_i | F_j for i | j only chooses where a division is made: each is
+    checked by its remainder, so the quotient is unchanged and the one
+    final division, of what the window keeps by what the divisor keeps, is
+    still asserted exact, witnessing integrality on every call.  The
+    factors F_i with i > k/4 hold about fifteen sixteenths of the bits of
+    F_1...F_k, and the final divisor keeps about a sixth of those bits.
     Each product multiplies runs of _RUN factors one at a time, then the
     run products as a balanced tree: multiplying a growing product by one
     factor at a time costs time quadratic in its size, while a tree
@@ -144,18 +173,20 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
         low, low_next = low_next, low + low_next
         window.append(top)
         lows.append(low)
-    dens = lows[:k // 2]
-    for i in range(k // 2 + 1, k + 1):
+    dens = lows[:k // 4]
+    touched = bytearray(k)  # window factors that some F_i has divided already
+    for i in range(k, k // 4, -1):
         f = lows[i - 1]
         j = -lo % i  # window offset of the first multiple of i
-        q, r = divmod(window[j], f)
-        if r and j + i < k:
+        if touched[j]:
             j += i
+        if j < k and not touched[j]:
             q, r = divmod(window[j], f)
-        if r:
-            dens.append(f)
-        else:
-            window[j] = q
+            if not r:
+                window[j] = q
+                touched[j] = 1
+                continue
+        dens.append(f)
     q, r = divmod(_run_product(window), _run_product(dens))
     if r:
         raise FormulaIntegrityError(f"Fibonomial product not an integer at (m={m}, k={k})")
@@ -234,7 +265,7 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if tier is _EXACT:
-        value = _nu_int(p, fibonomial_exact(m, k, cap=cap))
+        value = _nu_exact(p, fibonomial_exact(m, k, cap=cap))
         return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value)
     if tier is not _MODULAR:
         raise ValueError(f"tier must be an OracleTier, got {tier!r}")

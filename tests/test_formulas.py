@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -477,6 +478,18 @@ def test_gate_rejects_composite_and_huge_p(name, p):
 @pytest.mark.parametrize("name", list(GATED))
 def test_gate_rejects_huge_exponent_in_under_1ms(name):
     GATED[name](3, 1, 1)  # the rank record of 3 is cached from here on
+    # counted beside the clock: a rejected call builds no power of p.  p**a at
+    # a = 10^5 has 12-20 KiB, so a gate that builds it fails here in
+    # milliseconds, before a = 10^9 would make it build a 200 MB integer
+    for a in (10**5, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                GATED[name](3, a, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**10, (a, peak)
     best = float("inf")
     for _ in range(5):
         start = time.perf_counter()

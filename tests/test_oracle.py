@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import fibval.arith as arith
 from fibval import oracle
-from fibval.arith import FormulaIntegrityError, fib, fib_mod
+from fibval.arith import FormulaIntegrityError, _nu_int, fib, fib_mod
 from fibval.oracle import (
     EXACT_CAP_DEFAULT,
     EXACT_CAP_MAX,
@@ -57,25 +57,58 @@ def divisors_seen(monkeypatch) -> list[int]:
     return seen
 
 
-# The smallest cells where F_i is not cancelled into its first multiple: F_18 has
-# already given up F_6 and no longer takes F_9.  In the window F_18..F_27 of
-# (27, 10), F_27 takes it; in F_13..F_21 of (21, 9), F_9 stays in the divisor.
-@pytest.mark.parametrize("m, k, kept", [(27, 10, []), (21, 9, [9])],
+# The smallest cells where F_3 is not cancelled into its first multiple.  In the
+# window F_12..F_15 of (15, 4), F_4 has taken F_12, so F_3 goes into F_15 (and F_2
+# into F_14); in F_11..F_15 of (15, 5), F_5 has taken F_15 and F_4 has taken F_12,
+# so F_3 stays in the divisor.
+@pytest.mark.parametrize("m, k, kept", [(15, 4, []), (15, 5, [3])],
                          ids=["second-multiple", "kept-in-divisor"])
 def test_exact_cancellation_outcomes(monkeypatch, m, k, kept):
     seen = divisors_seen(monkeypatch)
     assert fibonomial_exact(m, k) == fibonomial_by_definition(m, k)
-    assert seen[-1] == prod(fib(i) for i in [*range(1, k // 2 + 1), *kept])
+    assert seen[-1] == prod(fib(i) for i in [*range(1, k // 4 + 1), *kept])
 
 
 @pytest.mark.parametrize("m, k", [(400, 200), (480, 240)])
-def test_exact_final_divisor_is_under_30_percent_of_f1_to_fk(monkeypatch, m, k):
+def test_exact_final_divisor_is_under_20_percent_of_f1_to_fk(monkeypatch, m, k):
     # counted work beside the clocks: the one quadratic division is by what the
-    # cancellations leave of F_1...F_k, about a quarter of its bits, not all of it
+    # cancellations leave of F_1...F_k, about a sixth of its bits, not all of it;
+    # and each F_i above k/4 is divided once, into a slot chosen without trial
     seen = divisors_seen(monkeypatch)
     assert fibonomial_exact(m, k, cap=m) == fibonomial_row(m)[k]
     full_bits = sum(fib(i).bit_length() for i in range(1, k + 1))
-    assert max(d.bit_length() for d in seen) <= 0.3 * full_bits
+    assert max(d.bit_length() for d in seen) <= 0.2 * full_bits
+    assert len(seen) <= k - k // 4 + 1
+
+
+def one_digit_exponent(p: int) -> int:
+    """The largest E >= 1 with p^E < 2^30, or 1 when p >= 2^30."""
+    e = 1
+    while p ** (e + 1) < 2**30:
+        e += 1
+    return e
+
+
+@pytest.mark.parametrize("p", [*SMALL_PRIMES, 2**31 - 1, 2**61 - 1])  # the last two: p^E = p
+def test_exact_valuation_matches_nu_int(p):
+    e = one_digit_exponent(p)
+    cofactors = (1, p - 1, p + 1, fib(480), fib(481) * (p - 1))
+    # exponents below E read a residue other than 0; E, 2E and 2E + 1 run the
+    # zero-residue path once, twice and twice before the residue
+    for v in (0, 1, e - 1, e, e + 1, 2 * e, 2 * e + 1):
+        for t in cofactors:
+            x = p**v * t
+            assert oracle._nu_exact(p, x) == _nu_int(p, x), (v, t)
+    assert oracle._nu_exact(p, 1) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_exact_valuation_rejects_x_below_1(p):
+    # unguarded, p = 2 returns -1 on 0 and an odd p never leaves its loop on 0;
+    # -1 comes first, so a missing guard fails before it could loop
+    for x in (-1, 0):
+        with pytest.raises(FormulaIntegrityError, match="needs x >= 1"):
+            oracle._nu_exact(p, x)
 
 
 @settings(max_examples=60)

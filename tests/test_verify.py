@@ -222,10 +222,36 @@ def test_mismatch_rows_sorted_and_serializable(monkeypatch):
     assert list(rows[0]) == ["p", "a", "n", "formula", "oracle", "branch", "m", "k", "check"]
 
 
-def test_exponents_beyond_the_index_cap_cost_nothing():
+def digit_count(p: int, n: int) -> int:
+    """floor(log_p(n)) + 1 for n >= 1: the number of base-p digits of n."""
+    count = 0
+    while n:
+        n //= p
+        count += 1
+    return count
+
+
+def test_exponents_beyond_the_index_cap_cost_nothing(monkeypatch):
+    # counted beside the clock: run_verify reads n_limit in three passes over
+    # the exponents (the reach pre-flight, the central grid and the expected
+    # labels), each at most once per a with p^a <= index_cap, that is fewer
+    # than log_p(index_cap) + 1 times; a walk over every a <= a_max fails at
+    # the first call past that bound
+    bound = 3 * sum(digit_count(p, 200) for p in (2, 3))
+    calls = []
+    real = VerifyConfig.n_limit
+
+    def counted(self, p, a):
+        calls.append((p, a))
+        if len(calls) > bound:
+            raise AssertionError(f"n_limit called more than {bound} times")
+        return real(self, p, a)
+
+    monkeypatch.setattr(VerifyConfig, "n_limit", counted)
     start = time.perf_counter()
     huge = run_verify(VerifyConfig(primes=(2, 3), a_max=10**9, n_max=5, index_cap=200))
     assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
     small = run_verify(VerifyConfig(primes=(2, 3), a_max=8, n_max=5, index_cap=200))
     assert huge.cells_checked == small.cells_checked
     assert huge.branch_coverage == small.branch_coverage
