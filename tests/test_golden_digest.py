@@ -1,4 +1,6 @@
-"""One SHA-256 over the values and branch traces of a mid-size grid.
+"""SHA-256 digests over the values of mid-size grids.
+
+The first digest covers the values and branch traces of a mid-size grid.
 
 The grid is every central cell (p^a*n, n) with p^a*n <= 10^4 for the primes
 up to 31 and a <= 4, each re-derived through the general formula and, when
@@ -7,6 +9,13 @@ that configuration's general and ratio sweeps.  Each record is (function,
 args, value, every BranchTrace field with the Theorem written as its
 value); the tier-B oracle value of every cell is a record too.  A change to
 any value, label or trace field changes the digest.
+
+Two more digests cover tier A on every k at m <= 120 and on every
+twentieth row from 140 to 480: one over each Fibonomial coefficient
+``fibonomial_exact`` returns, one over ``nu_fibonomial_oracle``'s tier-A
+valuation, with p cycling through the primes up to 13 from cell to cell.
+Each int is hashed as hex: ``repr`` of C(480, 240)_F, with more than 4,300
+digits, raises on Python 3.11.
 """
 
 import hashlib
@@ -14,13 +23,23 @@ import hashlib
 import fibval.verify as verify
 from fibval.arith import _nu_int
 from fibval.formulas import nu_central, nu_fibonomial_formula, nu_ratio_prime_powers
-from fibval.oracle import OracleTier, nu_fibonomial_oracle
+from fibval.oracle import OracleTier, fibonomial_exact, nu_fibonomial_oracle
 from fibval.verify import VerifyConfig
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 CONFIG = VerifyConfig(GRID_PRIMES, a_max=4, n_max=10**4, index_cap=10**4)
 
 GOLDEN_DIGEST = "4155d39aa41bc43770b77e75bab0184916a942877fbdc46ad3f1a337a26ef698"
+
+TIER_A_CAP = 480
+TIER_A_PRIMES = (2, 3, 5, 7, 11, 13)
+TIER_A_ROWS = (*range(121), *range(140, TIER_A_CAP + 1, 20))
+TIER_A_EXACT_DIGEST = "0bffad5116d4b53c43dc5ec7492356cb47eeafbd5acdd695429be9f5b62f5915"
+TIER_A_ORACLE_DIGEST = "9aad8fa8b92ad4ef45421515a310a23d3e2f49c82e9d949f544c8f76f2c31983"
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def _records():
@@ -53,5 +72,23 @@ def _records():
 
 
 def test_values_and_traces_match_the_golden_digest():
-    digest = hashlib.sha256("\n".join(_records()).encode()).hexdigest()
-    assert digest == GOLDEN_DIGEST
+    assert _sha256(_records()) == GOLDEN_DIGEST
+
+
+def _tier_a_cells():
+    return ((m, k) for m in TIER_A_ROWS for k in range(m + 1))
+
+
+def test_tier_a_coefficients_match_the_golden_digest():
+    digest = _sha256(f"{m} {k} {fibonomial_exact(m, k, cap=TIER_A_CAP):x}"
+                     for m, k in _tier_a_cells())
+    assert digest == TIER_A_EXACT_DIGEST
+
+
+def test_tier_a_valuations_match_the_golden_digest():
+    lines = []
+    for i, (m, k) in enumerate(_tier_a_cells()):
+        p = TIER_A_PRIMES[i % len(TIER_A_PRIMES)]
+        value = nu_fibonomial_oracle(p, m, k, OracleTier.EXACT, cap=TIER_A_CAP).value
+        lines.append(f"{p} {m} {k} {value:x}")
+    assert _sha256(lines) == TIER_A_ORACLE_DIGEST
