@@ -2,17 +2,18 @@
 
 Two deliberately naive, mutually independent routes:
 
-* tier A ("exact"): build the Fibonomial coefficient as a big integer, the
-  quotient F_(m-k+1)...F_m / (F_1...F_k) with k = min(k, m - k), and count
-  prime factors directly.  Each F_i with i > k/4, largest first, is first
-  cancelled, by a division checked by its remainder, into a window factor
-  at one of the first two multiples of i that no earlier F_i has divided,
-  which leaves about a sixth of the divisor's bits for the one final
-  division.  Each product multiplies runs of 32 factors, then the run
-  products as a balanced tree, so that its large multiplications pair
-  operands of like size.  nu_p of the quotient is read from its residue
-  mod a power of p below 2^30, one pass over the quotient per that many
-  factors of p.  Tier A keeps no state between calls; its index cap, the
+* tier A ("exact"): the Fibonomial coefficient as the quotient
+  F_(m-k+1)...F_m / (F_1...F_k) with k = min(k, m - k).  Each F_i with
+  i > k/4, largest first, is first cancelled, by a division checked by its
+  remainder, into a window factor at one of the first two multiples of i
+  that no earlier F_i has divided, which leaves about a sixth of the
+  divisor's bits in a divisor D.  ``fibonomial_exact`` builds the
+  quotient by one final division; each product multiplies runs of 32
+  factors, then the run products as a balanced tree, so that its large
+  multiplications pair operands of like size.  The oracle never builds
+  the quotient: it folds the window factors' product mod D, whose residue
+  0 witnesses integrality, and sums nu_p over the window factors less
+  nu_p(D).  Tier A keeps no state between calls; its index cap, the
   ``cap`` argument alone (EXACT_CAP_DEFAULT if not given, at most
   EXACT_CAP_MAX), bounds the time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
@@ -62,7 +63,8 @@ from .arith import (
 )
 
 EXACT_CAP_DEFAULT = 400
-# highest tier-A cap: one call at m = 2000, k = 1000 takes about a tenth of a second
+# highest tier-A cap: at m = 2000, k = 1000 an oracle call or fibonomial_exact takes
+# under a tenth of a second
 EXACT_CAP_MAX = 2000
 MODULAR_CAP = 10**7
 # most tier-B prefix entries over all primes (8 bytes each): two full prefixes
@@ -128,28 +130,21 @@ def _nu_exact(p: int, x: int) -> int:
     return e + _nu_int(p, r)
 
 
-def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
-    """The Fibonomial coefficient as an exact integer.
+def _cancelled(m: int, k: int, cap: int | None) -> tuple[list[int], list[int]]:
+    """Tier A's factors after cancellation: what the window and the divisor keep.
 
-    With k = min(k, m - k), F_(m-k+1)...F_m is divided by F_1...F_k; both
-    lists of factors step a Fibonacci pair by addition.  Before either
-    product is built, each F_i with k/4 < i <= k, from i = k down, is
+    Checks ``cap`` and the indices (see ``fibonomial_exact``), then, with
+    k = min(k, m - k), steps F_(m-k+1)..F_m and F_1..F_k by addition from
+    two ``fib`` seeds.  Each F_i with k/4 < i <= k, from i = k down, is
     divided into the window factor at the first multiple of i, else at the
     next one, that no earlier F_i has divided, if the window holds it; a
     bytearray marks the factors divided.  A division that leaves a
-    remainder, or an F_i with no such factor, leaves F_i in the divisor.
-    F_i | F_j for i | j only chooses where a division is made: each is
-    checked by its remainder, so the quotient is unchanged and the one
-    final division, of what the window keeps by what the divisor keeps, is
-    still asserted exact, witnessing integrality on every call.  The
-    factors F_i with i > k/4 hold about fifteen sixteenths of the bits of
-    F_1...F_k, and the final divisor keeps about a sixth of those bits.
-    Each product multiplies runs of _RUN factors one at a time, then the
-    run products as a balanced tree: multiplying a growing product by one
-    factor at a time costs time quadratic in its size, while a tree
-    multiplies operands of like size, which Karatsuba speeds up.  ``cap``,
-    the index cap, is EXACT_CAP_DEFAULT if not given and must lie between
-    1 and EXACT_CAP_MAX.
+    remainder, or an F_i with no such factor, leaves F_i in the divisor.  F_i | F_j for i | j only
+    chooses where a division is made: each is checked by its remainder, so
+    the quotient of the two products returned is the Fibonomial
+    coefficient, if it is an integer.  The F_i with i > k/4 hold about
+    fifteen sixteenths of the bits of F_1...F_k, and the divisor keeps
+    about a sixth of those bits.
     """
     if cap is None:
         cap = EXACT_CAP_DEFAULT
@@ -163,8 +158,6 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
         raise ValueError(f"exact tier capped at m <= {cap}, got m={show_int(m)}")
     k = min(k, m - k)
     top, top_next = fib(m - k), fib(m - k + 1)
-    if not k:
-        return 1
     lo = m - k + 1
     window, lows = [], []  # F_lo..F_m and F_1..F_k
     low, low_next = 0, 1
@@ -187,10 +180,56 @@ def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
                 touched[j] = 1
                 continue
         dens.append(f)
+    return window, dens
+
+
+def _not_an_integer(m: int, k: int) -> FormulaIntegrityError:
+    return FormulaIntegrityError(f"Fibonomial product not an integer at (m={m}, k={min(k, m - k)})")
+
+
+def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
+    """The Fibonomial coefficient as an exact integer.
+
+    The quotient F_(m-k+1)...F_m / (F_1...F_k), with k = min(k, m - k), of
+    what the window and the divisor keep after ``_cancelled``.  The one
+    final division is asserted exact, witnessing integrality on every call.
+    Each product multiplies runs of _RUN factors one at a time, then the
+    run products as a balanced tree: multiplying a growing product by one
+    factor at a time costs time quadratic in its size, while a tree
+    multiplies operands of like size, which Karatsuba speeds up.  ``cap``,
+    the index cap, is EXACT_CAP_DEFAULT if not given and must lie between
+    1 and EXACT_CAP_MAX.
+    """
+    window, dens = _cancelled(m, k, cap)
     q, r = divmod(_run_product(window), _run_product(dens))
     if r:
-        raise FormulaIntegrityError(f"Fibonomial product not an integer at (m={m}, k={k})")
+        raise _not_an_integer(m, k)
     return q
+
+
+def _nu_exact_fibonomial(p: int, m: int, k: int, cap: int | None) -> int:
+    """nu_p of the Fibonomial coefficient, read from ``_cancelled``'s factors.
+
+    The quotient is never built.  With D the product of what the divisor
+    keeps, r = r * w mod D folded over the window factors w, from 1 mod D,
+    is 0 exactly when D divides their product, so integrality is still
+    witnessed on every call; nu_p is then the sum of nu_p(w) less nu_p(D).
+    """
+    window, dens = _cancelled(m, k, cap)
+    d = _run_product(dens)
+    r = 1 % d
+    for w in window:
+        r = r * w % d
+    if r:
+        raise _not_an_integer(m, k)
+    if min(window, default=1) < 1:  # true factors are >= 1, and _nu_int never ends on 0
+        raise FormulaIntegrityError(
+            f"Fibonomial window factor below 1 at (m={m}, k={min(k, m - k)})")
+    if p == 2:
+        value = sum((w & -w).bit_length() - 1 for w in window)
+    else:
+        value = sum(_nu_int(p, w) for w in window if not w % p)
+    return value - _nu_exact(p, d)
 
 
 # Per-prime prefix sums of nu_p(F_i):  _val_sums[p][j] = sum_{i<=j} nu_p(F_i).
@@ -265,7 +304,7 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if tier is _EXACT:
-        value = _nu_exact(p, fibonomial_exact(m, k, cap=cap))
+        value = _nu_exact_fibonomial(p, m, k, cap)
         return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value)
     if tier is not _MODULAR:
         raise ValueError(f"tier must be an OracleTier, got {tier!r}")

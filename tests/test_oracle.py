@@ -160,6 +160,46 @@ def test_exact_non_integral_quotient_raises_past_the_first_run(monkeypatch):
         fibonomial_exact(100, 50)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("m, k, index, seed", [(20, 10, 11, 90), (100, 50, 51, fib(51) + 1)],
+                         ids=["F_11=90", "F_51+1"])
+def test_exact_oracle_non_integral_quotient_raises(monkeypatch, p, m, k, index, seed):
+    # the oracle builds no quotient: the residue of the window factors' product
+    # mod what the divisor keeps is its integrality check, on every call
+    monkeypatch.setattr(oracle, "fib", lambda i: seed if i == index else fib(i))
+    with pytest.raises(FormulaIntegrityError, match="not an integer"):
+        nu_fibonomial_oracle(p, m, k, OracleTier.EXACT)
+
+
+def test_exact_oracle_rejects_a_window_factor_below_1(monkeypatch):
+    # zero seeds make every window factor 0, which any divisor divides; unguarded,
+    # p = 2 reads -1 from each factor and an odd p never leaves _nu_int
+    monkeypatch.setattr(oracle, "fib", lambda i: 0)
+    for p in (2, 3):
+        with pytest.raises(FormulaIntegrityError, match="below 1"):
+            nu_fibonomial_oracle(p, 20, 10, OracleTier.EXACT)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_exact_oracle_is_0_at_k_0_and_k_m(p):
+    for m in (0, 1, 2, 7, 400):
+        assert nu_fibonomial_oracle(p, m, 0, OracleTier.EXACT).value == 0
+        assert nu_fibonomial_oracle(p, m, m, OracleTier.EXACT).value == 0
+
+
+def test_exact_oracle_peak_memory_stays_under_the_quotient():
+    # counted: the oracle folds a residue mod the divisor, about 115 KB at its
+    # peak here; reading nu_p of fibonomial_exact's quotient peaks near 340 KB
+    tracemalloc.start()
+    try:
+        value = nu_fibonomial_oracle(3, 1200, 600, OracleTier.EXACT, cap=1200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 192 * 2**10, peak
+    assert value == nu_fibonomial_oracle(3, 1200, 600, OracleTier.MODULAR)
+
+
 def test_exact_seeds_through_two_fib_calls(monkeypatch):
     # the tracer counts tier A's seeds by patching the module-global name fib
     calls = []

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -131,6 +132,17 @@ def test_config_rejects_a_bound_below_one(field, value):
 def test_config_rejects_an_index_cap_past_2_63_at_once(index_cap):
     # without this bound, run_verify on the 2^30000 config ran 10-12 s on 2 cores
     # and then failed while formatting its own error message
+    # counted beside the clock: the rejection builds nothing that grows with
+    # index_cap.  Walking the exponents of 2 before the check, up to 2^30000,
+    # peaks at about 9 KiB; the rejection itself at about 2 KiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="VerifyConfig.index_cap"):
+            VerifyConfig(primes=(2,), a_max=10**9, n_max=1, index_cap=index_cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**10, peak
     start = time.perf_counter()
     with pytest.raises(ValueError, match="VerifyConfig.index_cap"):
         VerifyConfig(primes=(2,), a_max=10**9, n_max=1, index_cap=index_cap)
