@@ -4,8 +4,10 @@ Subcommands: eval (single valuation, optionally explained), scan
 (divisibility/oddness range scans), verify (formula-vs-oracle grid with
 branch coverage), table (per-n valuation tables).
 
-Exit codes: 0 ok; 1 formula/oracle mismatch or integrity failure; 2 usage;
-3 eval disagreement under --method both; 4 branch-coverage gap.
+Exit codes: 0 ok, also when the reader closes stdout early (as ``| head``
+does: the rest of the output is dropped); 1 formula/oracle mismatch or
+integrity failure; 2 usage; 3 eval disagreement under --method both;
+4 branch-coverage gap.
 
 The library checks every value it is given (every ValueError it raises
 exits 2), so the commands check only what it cannot: flag presence, the
@@ -41,6 +43,7 @@ import csv
 import functools
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterator
 from types import SimpleNamespace
@@ -331,13 +334,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the interpreter's exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormulaIntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except BrokenPipeError:
+        # the reader has gone: what is left to write goes to devnull, so that
+        # the interpreter's final flush of stdout raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 def console_main() -> None:

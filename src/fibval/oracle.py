@@ -13,9 +13,10 @@ Two deliberately naive, mutually independent routes:
   multiplications pair operands of like size.  The oracle never builds
   the quotient: it folds the window factors' product mod D, whose residue
   0 witnesses integrality, and sums nu_p over the window factors less
-  nu_p(D).  Tier A keeps no state between calls; its index cap, the
-  ``cap`` argument alone (EXACT_CAP_DEFAULT if not given, at most
-  EXACT_CAP_MAX), bounds the time a call takes;
+  nu_p over D's factors, by one rule for each factor.  Tier A keeps no
+  state between calls; its index cap, the ``cap`` argument alone
+  (EXACT_CAP_DEFAULT if not given, at most EXACT_CAP_MAX), bounds the
+  time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -78,7 +79,6 @@ INDEX_CAP_DEFAULT = 10**5
 EXIT_MISMATCH = 1
 EXIT_COVERAGE = 4
 _RUN = 32  # tier-A factors multiplied one at a time before the runs are paired
-_DIGIT = 1 << 30  # one CPython digit: a remainder by a smaller modulus takes one pass
 
 
 class OracleTier(Enum):
@@ -106,28 +106,11 @@ def _run_product(xs: list[int]) -> int:
     return _product(runs, 0, len(runs)) if runs else 1
 
 
-def _nu_exact(p: int, x: int) -> int:
-    """nu_p(x) for x >= 1, in one residue pass per E factors of p.
-
-    For p = 2 it is the index of x's lowest set bit.  Otherwise M = p^E is
-    the largest power of p below 2^30 (p itself if p >= 2^30): a residue
-    r = x mod M other than 0 gives nu_p(x) = nu_p(r), since r < M, and r = 0
-    divides x by M and reads again.
-    """
-    if x < 1:
-        raise FormulaIntegrityError(f"nu_{p}(x) needs x >= 1, got x={show_int(x)}")
+def _nu_factors(p: int, xs: list[int]) -> int:
+    """nu_p of the product of xs, each >= 1, summed over the factors p divides."""
     if p == 2:
-        return (x & -x).bit_length() - 1
-    modulus, step = p, 1
-    while modulus * p < _DIGIT:
-        modulus, step = modulus * p, step + 1
-    e = 0
-    r = x % modulus
-    while not r:
-        x //= modulus
-        e += step
-        r = x % modulus
-    return e + _nu_int(p, r)
+        return sum((x & -x).bit_length() - 1 for x in xs)
+    return sum(_nu_int(p, x) for x in xs if not x % p)
 
 
 def _cancelled(m: int, k: int, cap: int | None) -> tuple[list[int], list[int]]:
@@ -213,7 +196,7 @@ def _nu_exact_fibonomial(p: int, m: int, k: int, cap: int | None) -> int:
     The quotient is never built.  With D the product of what the divisor
     keeps, r = r * w mod D folded over the window factors w, from 1 mod D,
     is 0 exactly when D divides their product, so integrality is still
-    witnessed on every call; nu_p is then the sum of nu_p(w) less nu_p(D).
+    witnessed on every call; nu_p is then the sum of nu_p(w) less that of D's factors.
     """
     window, dens = _cancelled(m, k, cap)
     d = _run_product(dens)
@@ -225,11 +208,7 @@ def _nu_exact_fibonomial(p: int, m: int, k: int, cap: int | None) -> int:
     if min(window, default=1) < 1:  # true factors are >= 1, and _nu_int never ends on 0
         raise FormulaIntegrityError(
             f"Fibonomial window factor below 1 at (m={m}, k={min(k, m - k)})")
-    if p == 2:
-        value = sum((w & -w).bit_length() - 1 for w in window)
-    else:
-        value = sum(_nu_int(p, w) for w in window if not w % p)
-    return value - _nu_exact(p, d)
+    return _nu_factors(p, window) - _nu_factors(p, dens)
 
 
 # Per-prime prefix sums of nu_p(F_i):  _val_sums[p][j] = sum_{i<=j} nu_p(F_i).
@@ -304,19 +283,19 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if tier is _EXACT:
-        value = _nu_exact_fibonomial(p, m, k, cap)
-        return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value)
-    if tier is not _MODULAR:
+        total = _nu_exact_fibonomial(p, m, k, cap)
+    elif tier is not _MODULAR:
         raise ValueError(f"tier must be an OracleTier, got {tier!r}")
-    if cap is not None:
-        raise ValueError(f"the modular tier takes no cap (it is capped at m <= {MODULAR_CAP}), "
-                         f"got cap={show_int(cap)}")
-    if m > MODULAR_CAP:
-        raise ValueError(f"modular tier capped at m <= {MODULAR_CAP}, got m={show_int(m)}")
-    if sums is None or len(sums) <= m:
-        sums = _valuation_prefix(p, m)
-    total = sums[m] - sums[m - k] - sums[k]
-    if total < 0:
+    else:
+        if cap is not None:
+            raise ValueError(f"the modular tier takes no cap (it is capped at m <= {MODULAR_CAP}), "
+                             f"got cap={show_int(cap)}")
+        if m > MODULAR_CAP:
+            raise ValueError(f"modular tier capped at m <= {MODULAR_CAP}, got m={show_int(m)}")
+        if sums is None or len(sums) <= m:
+            sums = _valuation_prefix(p, m)
+        total = sums[m] - sums[m - k] - sums[k]
+    if total < 0:  # either tier: a true Fibonomial coefficient is an integer
         raise FormulaIntegrityError(
             f"negative valuation sum at (p={p}, m={m}, k={k}); integrality violated")
     return _VALUATIONS[total] if total < _VALUATION_BOUND else Valuation(total)

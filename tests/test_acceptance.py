@@ -176,3 +176,22 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
                 caught += 1
     record(9, f"{caught}/{len(mutations)} seeded delta-table mutations break "
               "the verification grid", caught == len(mutations))
+
+
+def _is_3n_exception(n: int) -> bool:
+    """n = 1 or n = 2*3^j: the paper's set of n with 3 not dividing C(3n, n)_F."""
+    if n == 1:
+        return True
+    if n % 2:
+        return False
+    n //= 2
+    while n % 3 == 0:
+        n //= 3
+    return n == 1
+
+
+def test_criterion_10_3n_not_divisible_membership():
+    found = [n for n in range(1, MILLION + 1) if not divides_p_central(3, 1, n)[0]]
+    expected = [n for n in range(1, MILLION + 1) if _is_3n_exception(n)]
+    record(10, f"3 does not divide (3n, n) at exactly the {len(expected)} n = 1 or 2*3^j "
+               "up to 1e6", found == expected)

@@ -103,6 +103,13 @@ def test_index_valuation_matches_exact_fibonacci(fib_seq):
             assert _index_valuation(p, i) == _nu_int(p, fib_seq[i]), (p, i)
 
 
+def test_index_valuation_reaches_63_below_the_exponent_cap():
+    # the bound arith's _EXPONENT_CAP comment states: nu_2(F_i) = nu_2(i) + 2
+    # for 6 | i, so i = 3*2^61 < 2^63 gives 63, one below the cap
+    assert _index_valuation(2, 3 * 2**61) == 63
+    assert _index_valuation(2, 3 * 2**60) == 62
+
+
 def test_index_valuation_stops_at_the_exponent_cap(monkeypatch):
     # nu_2(F_24) = nu_2(46368) = 5 runs past a cap of 3
     monkeypatch.setattr(arith, "_EXPONENT_CAP", 3)

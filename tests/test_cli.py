@@ -658,6 +658,46 @@ def test_only_the_verify_command_loads_verify_and_dataclasses():
     assert proc.stdout == "[0, 0, 0] []\n0 True\n"
 
 
+def _fibval_process(argv: list[str], **kwargs) -> subprocess.Popen:
+    """A fresh `fibval` process with the interpreter's default block-buffered
+    stdout, as in a shell pipeline (PYTHONUNBUFFERED would write each line at once)."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "fibval.cli", *argv], env=env, **kwargs)
+
+
+def test_table_into_a_pipe_closed_early_exits_0_without_a_traceback(tmp_path):
+    # `fibval table ... | head -1`: the reader closes the pipe after one line,
+    # while the command has most of its 100,000 rows still to write
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = _fibval_process(["table", "--p", "2", "--a", "1", "--n-max", "100000"],
+                               stdout=subprocess.PIPE, stderr=err)
+        assert proc.stdout.readline() == b"p,a,n,nu,branch\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        stderr = err.read().decode()
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--p", "2", "--a", "1", "--n", "5"],  # a few bytes, still buffered when main returns
+    ["scan", "--p", "2", "--a", "2", "--n-max", "100000", "--predicate", "not_divisible"],
+], ids=["eval", "scan"])
+def test_output_into_a_closed_pipe_exits_0_quietly(argv, tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with open(tmp_path / "stderr", "w+b") as err:
+            code = _fibval_process(argv, stdout=write_end, stderr=err).wait(timeout=60)
+            err.seek(0)
+            stderr = err.read().decode()
+    finally:
+        os.close(write_end)
+    assert stderr == "" and code == cli.EXIT_OK, (code, stderr)
+
+
 # --- fuzz -------------------------------------------------------------------
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 2**64 - 59)

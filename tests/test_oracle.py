@@ -1,4 +1,5 @@
 import tracemalloc
+from array import array
 from math import prod
 
 import pytest
@@ -81,34 +82,16 @@ def test_exact_final_divisor_is_under_20_percent_of_f1_to_fk(monkeypatch, m, k):
     assert len(seen) <= k - k // 4 + 1
 
 
-def one_digit_exponent(p: int) -> int:
-    """The largest E >= 1 with p^E < 2^30, or 1 when p >= 2^30."""
-    e = 1
-    while p ** (e + 1) < 2**30:
-        e += 1
-    return e
-
-
-@pytest.mark.parametrize("p", [*SMALL_PRIMES, 2**31 - 1, 2**61 - 1])  # the last two: p^E = p
+@pytest.mark.parametrize("p", [*SMALL_PRIMES, 2**31 - 1, 2**61 - 1])
 def test_exact_valuation_matches_nu_int(p):
-    e = one_digit_exponent(p)
+    # tier A reads nu_p of the window and of the divisor by this one rule, a
+    # sum over the factors; p = 2 reads each factor's lowest set bit
     cofactors = (1, p - 1, p + 1, fib(480), fib(481) * (p - 1))
-    # exponents below E read a residue other than 0; E, 2E and 2E + 1 run the
-    # zero-residue path once, twice and twice before the residue
-    for v in (0, 1, e - 1, e, e + 1, 2 * e, 2 * e + 1):
-        for t in cofactors:
-            x = p**v * t
-            assert oracle._nu_exact(p, x) == _nu_int(p, x), (v, t)
-    assert oracle._nu_exact(p, 1) == 0
-
-
-@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
-def test_exact_valuation_rejects_x_below_1(p):
-    # unguarded, p = 2 returns -1 on 0 and an odd p never leaves its loop on 0;
-    # -1 comes first, so a missing guard fails before it could loop
-    for x in (-1, 0):
-        with pytest.raises(FormulaIntegrityError, match="needs x >= 1"):
-            oracle._nu_exact(p, x)
+    factors = [p**v * t for v in (0, 1, 2, 5, 40) for t in cofactors]
+    for x in factors:
+        assert oracle._nu_factors(p, [x]) == _nu_int(p, x), x
+    assert oracle._nu_factors(p, factors) == _nu_int(p, prod(factors))
+    assert oracle._nu_factors(p, []) == 0
 
 
 @settings(max_examples=60)
@@ -178,6 +161,21 @@ def test_exact_oracle_rejects_a_window_factor_below_1(monkeypatch):
     for p in (2, 3):
         with pytest.raises(FormulaIntegrityError, match="below 1"):
             nu_fibonomial_oracle(p, 20, 10, OracleTier.EXACT)
+
+
+def test_exact_oracle_negative_sum_raises(monkeypatch):
+    # F_4 = 3 stays in the divisor at (32, 16) and is no window factor, so
+    # reading nu_3(3) one too high turns the true 0 into -1
+    monkeypatch.setattr(oracle, "_nu_int", lambda p, x: _nu_int(p, x) + (x == 3))
+    with pytest.raises(FormulaIntegrityError, match="negative valuation"):
+        nu_fibonomial_oracle(3, 32, 16, OracleTier.EXACT)
+
+
+def test_modular_oracle_negative_sum_raises(cold_prefixes):
+    # a corrupt prefix: sums[5] - sums[3] - sums[2] = -1
+    oracle._val_sums[7] = array("q", [0, 0, 1, 1, 1, 1, 1])
+    with pytest.raises(FormulaIntegrityError, match="negative valuation"):
+        nu_fibonomial_oracle(7, 5, 2)
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
