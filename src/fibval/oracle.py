@@ -2,21 +2,28 @@
 
 Two deliberately naive, mutually independent routes:
 
-* tier A ("exact"): the Fibonomial coefficient as the quotient
-  F_(m-k+1)...F_m / (F_1...F_k) with k = min(k, m - k).  Each F_i with
-  i > k/4, largest first, is first cancelled, by a division checked by its
-  remainder, into a window factor at one of the first two multiples of i
-  that no earlier F_i has divided, which leaves about a sixth of the
-  divisor's bits in a divisor D.  ``fibonomial_exact`` builds the
-  quotient by one final division; each product multiplies runs of 32
-  factors, then the run products as a balanced tree, so that its large
-  multiplications pair operands of like size.  The oracle never builds
-  the quotient: it folds the window factors' product mod D, whose residue
-  0 witnesses integrality, and sums nu_p over the window factors less
-  nu_p over D's factors, by one rule for each factor.  Tier A keeps no
-  state between calls; its index cap, the ``cap`` argument alone
-  (EXACT_CAP_DEFAULT if not given, at most EXACT_CAP_MAX), bounds the
-  time a call takes;
+* tier A ("exact"): the Fibonomial coefficient as a product of Fibonacci
+  primitive parts.  F_n is the product of P_d over the divisors d of n,
+  so C(m, k)_F = F_(m-k+1)...F_m / (F_1...F_k) is the product of P_d over
+  its carry set, the d <= m with e_d = floor(m/d) - floor(k/d) -
+  floor((m-k)/d) = 1, that is with k mod d > m mod d; e_d is always 0 or
+  1 (Knuth and Wilf, "The power of a prime that divides a generalized
+  binomial coefficient", J. reine angew. Math. 396, 1989).  The parts
+  come from one module-level table, _parts[d] = P_d, built by a divisor
+  sieve over F_1..F_n, stepped by addition from two ``fib`` seeds: each
+  F_n is divided by P_d for every proper divisor d of n, by a division
+  checked by its remainder.  A build rejects a stepped factor below 1
+  before it sieves, and ends by comparing the stepped pair with ``fib``;
+  any failure raises FormulaIntegrityError and leaves the table as it
+  was.  ``fibonomial_exact`` multiplies the carry set's parts, runs of 32
+  one at a time and then the run products as a balanced tree, so that
+  its large multiplications pair operands of like size; the oracle sums
+  nu_p over the same parts, by one rule for each part.  So tier A keeps
+  state: a build runs to at least twice the table's length, within the
+  call's index cap, so the table never holds more than EXACT_CAP_MAX + 1
+  entries (about 176 KiB), and ``clear_caches`` drops it.  The index
+  cap, the ``cap`` argument alone (EXACT_CAP_DEFAULT if not given, at
+  most EXACT_CAP_MAX), bounds the time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -40,7 +47,8 @@ oldest-built first, while the table holds more than PREFIX_ENTRY_CAP
 entries; an evicted prime is checked and built again on its next query.
 
 Neither route knows anything about ranks of apparition or the closed-form
-layer; this module must never import fibval.formulas.
+layer: tier A's carry rule uses no rank and no p-adic fact.  This module
+must never import fibval.formulas or fibval.rank.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ _SWEEP_BOUND = 1 << 63
 INDEX_CAP_DEFAULT = 10**5
 EXIT_MISMATCH = 1
 EXIT_COVERAGE = 4
-_RUN = 32  # tier-A factors multiplied one at a time before the runs are paired
+_RUN = 32  # tier-A parts multiplied one at a time before the runs are paired
 
 
 class OracleTier(Enum):
@@ -113,21 +121,54 @@ def _nu_factors(p: int, xs: list[int]) -> int:
     return sum(_nu_int(p, x) for x in xs if not x % p)
 
 
-def _cancelled(m: int, k: int, cap: int | None) -> tuple[list[int], list[int]]:
-    """Tier A's factors after cancellation: what the window and the divisor keep.
+# Tier A's primitive parts: _parts[d] = P_d, with F_n the product of P_d over
+# d | n.  _parts[0] = 1 is never read.  A build binds a new, longer list, so a
+# reader holding the old one never sees it change.
+_parts: list[int] = []
+_parts_lock = threading.Lock()
 
-    Checks ``cap`` and the indices (see ``fibonomial_exact``), then, with
-    k = min(k, m - k), steps F_(m-k+1)..F_m and F_1..F_k by addition from
-    two ``fib`` seeds.  Each F_i with k/4 < i <= k, from i = k down, is
-    divided into the window factor at the first multiple of i, else at the
-    next one, that no earlier F_i has divided, if the window holds it; a
-    bytearray marks the factors divided.  A division that leaves a
-    remainder, or an F_i with no such factor, leaves F_i in the divisor.  F_i | F_j for i | j only
-    chooses where a division is made: each is checked by its remainder, so
-    the quotient of the two products returned is the Fibonomial
-    coefficient, if it is an integer.  The F_i with i > k/4 hold about
-    fifteen sixteenths of the bits of F_1...F_k, and the divisor keeps
-    about a sixth of those bits.
+
+def _grow_parts(top: int) -> list[int]:
+    """The table of primitive parts, first extended to P_top if it stops short.
+
+    Steps F_start..F_top from the seeds fib(start - 1) and fib(start), and
+    divides each F_n by P_d for every proper divisor d of n, ascending, so
+    that F_d is P_d by the time d is reached.  Each division is checked by
+    its remainder.
+    """
+    global _parts
+    with _parts_lock:
+        parts = _parts
+        start = len(parts) or 1
+        if start > top:
+            return parts
+        a, b = fib(start - 1), fib(start)
+        table = (parts or [1]) + [0] * (top + 1 - start)
+        for n in range(start, top + 1):
+            table[n] = b
+            a, b = b, a + b
+        if min(table[start:]) < 1:  # a true F_n is >= 1, and no division would catch 0
+            raise FormulaIntegrityError(f"Fibonacci factor below 1 in the tier-A sieve to F_{top}")
+        for d in range(1, top // 2 + 1):
+            part = table[d]
+            for n in range(max(2 * d, start + -start % d), top + 1, d):
+                q, r = divmod(table[n], part)
+                if r:
+                    raise FormulaIntegrityError(
+                        f"what is left of F_{n} over P_{d} is not an integer in the tier-A sieve")
+                table[n] = q
+        if a != fib(top) or b != fib(top + 1):
+            raise FormulaIntegrityError(f"F_{top} drifted from fast doubling in the tier-A sieve")
+        _parts = table
+    return table
+
+
+def _carry_parts(m: int, k: int, cap: int | None) -> list[int]:
+    """The parts P_d of C(m, k)_F: those of the d <= m with k mod d > m mod d.
+
+    Checks ``cap`` and the indices (see ``fibonomial_exact``).  A table
+    that stops short of m is grown to at least twice its length, within
+    ``cap``.
     """
     if cap is None:
         cap = EXACT_CAP_DEFAULT
@@ -139,76 +180,23 @@ def _cancelled(m: int, k: int, cap: int | None) -> tuple[list[int], list[int]]:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if m > cap:
         raise ValueError(f"exact tier capped at m <= {cap}, got m={show_int(m)}")
-    k = min(k, m - k)
-    top, top_next = fib(m - k), fib(m - k + 1)
-    lo = m - k + 1
-    window, lows = [], []  # F_lo..F_m and F_1..F_k
-    low, low_next = 0, 1
-    for _ in range(k):
-        top, top_next = top_next, top + top_next
-        low, low_next = low_next, low + low_next
-        window.append(top)
-        lows.append(low)
-    dens = lows[:k // 4]
-    touched = bytearray(k)  # window factors that some F_i has divided already
-    for i in range(k, k // 4, -1):
-        f = lows[i - 1]
-        j = -lo % i  # window offset of the first multiple of i
-        if touched[j]:
-            j += i
-        if j < k and not touched[j]:
-            q, r = divmod(window[j], f)
-            if not r:
-                window[j] = q
-                touched[j] = 1
-                continue
-        dens.append(f)
-    return window, dens
-
-
-def _not_an_integer(m: int, k: int) -> FormulaIntegrityError:
-    return FormulaIntegrityError(f"Fibonomial product not an integer at (m={m}, k={min(k, m - k)})")
+    parts = _parts
+    if len(parts) <= m:
+        parts = _grow_parts(max(m, min(2 * len(parts), cap)))
+    return [parts[d] for d in range(1, m + 1) if k % d > m % d]
 
 
 def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
-    """The Fibonomial coefficient as an exact integer.
+    """The Fibonomial coefficient as an exact integer: the product of its carry set's parts.
 
-    The quotient F_(m-k+1)...F_m / (F_1...F_k), with k = min(k, m - k), of
-    what the window and the divisor keep after ``_cancelled``.  The one
-    final division is asserted exact, witnessing integrality on every call.
-    Each product multiplies runs of _RUN factors one at a time, then the
-    run products as a balanced tree: multiplying a growing product by one
+    The product multiplies runs of _RUN parts one at a time, then the run
+    products as a balanced tree: multiplying a growing product by one
     factor at a time costs time quadratic in its size, while a tree
     multiplies operands of like size, which Karatsuba speeds up.  ``cap``,
     the index cap, is EXACT_CAP_DEFAULT if not given and must lie between
     1 and EXACT_CAP_MAX.
     """
-    window, dens = _cancelled(m, k, cap)
-    q, r = divmod(_run_product(window), _run_product(dens))
-    if r:
-        raise _not_an_integer(m, k)
-    return q
-
-
-def _nu_exact_fibonomial(p: int, m: int, k: int, cap: int | None) -> int:
-    """nu_p of the Fibonomial coefficient, read from ``_cancelled``'s factors.
-
-    The quotient is never built.  With D the product of what the divisor
-    keeps, r = r * w mod D folded over the window factors w, from 1 mod D,
-    is 0 exactly when D divides their product, so integrality is still
-    witnessed on every call; nu_p is then the sum of nu_p(w) less that of D's factors.
-    """
-    window, dens = _cancelled(m, k, cap)
-    d = _run_product(dens)
-    r = 1 % d
-    for w in window:
-        r = r * w % d
-    if r:
-        raise _not_an_integer(m, k)
-    if min(window, default=1) < 1:  # true factors are >= 1, and _nu_int never ends on 0
-        raise FormulaIntegrityError(
-            f"Fibonomial window factor below 1 at (m={m}, k={min(k, m - k)})")
-    return _nu_factors(p, window) - _nu_factors(p, dens)
+    return _run_product(_carry_parts(m, k, cap))
 
 
 # Per-prime prefix sums of nu_p(F_i):  _val_sums[p][j] = sum_{i<=j} nu_p(F_i).
@@ -283,7 +271,7 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
     if tier is _EXACT:
-        total = _nu_exact_fibonomial(p, m, k, cap)
+        total = _nu_factors(p, _carry_parts(m, k, cap))
     elif tier is not _MODULAR:
         raise ValueError(f"tier must be an OracleTier, got {tier!r}")
     else:
@@ -295,12 +283,15 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
         if sums is None or len(sums) <= m:
             sums = _valuation_prefix(p, m)
         total = sums[m] - sums[m - k] - sums[k]
-    if total < 0:  # either tier: a true Fibonomial coefficient is an integer
-        raise FormulaIntegrityError(
-            f"negative valuation sum at (p={p}, m={m}, k={k}); integrality violated")
+        if total < 0:  # a true Fibonomial coefficient is an integer
+            raise FormulaIntegrityError(
+                f"negative valuation sum at (p={p}, m={m}, k={k}); integrality violated")
     return _VALUATIONS[total] if total < _VALUATION_BOUND else Valuation(total)
 
 
 def clear_caches() -> None:
+    global _parts
     with _sums_lock:
         _val_sums.clear()
+    with _parts_lock:
+        _parts = []

@@ -50,36 +50,25 @@ def test_exact_matches_definition_small_grid():
             assert fibonomial_exact(m, k) == fibonomial_by_definition(m, k)
 
 
-def divisors_seen(monkeypatch) -> list[int]:
-    # a module global shadows the builtin: this records every divisor tier A divides by
-    seen = []
-    monkeypatch.setattr(oracle, "divmod", lambda a, b: seen.append(b) or divmod(a, b),
-                        raising=False)
-    return seen
+def test_primitive_parts_multiply_to_fib(cold_prefixes):
+    # F_n is the product of P_d over the divisors d of n: a divisor loop, not the sieve
+    fibonomial_exact(300, 1, cap=300)
+    parts = oracle._parts
+    for n in range(1, 301):
+        assert prod(parts[d] for d in range(1, n + 1) if n % d == 0) == fib(n), n
 
 
-# The smallest cells where F_3 is not cancelled into its first multiple.  In the
-# window F_12..F_15 of (15, 4), F_4 has taken F_12, so F_3 goes into F_15 (and F_2
-# into F_14); in F_11..F_15 of (15, 5), F_5 has taken F_15 and F_4 has taken F_12,
-# so F_3 stays in the divisor.
-@pytest.mark.parametrize("m, k, kept", [(15, 4, []), (15, 5, [3])],
-                         ids=["second-multiple", "kept-in-divisor"])
-def test_exact_cancellation_outcomes(monkeypatch, m, k, kept):
-    seen = divisors_seen(monkeypatch)
-    assert fibonomial_exact(m, k) == fibonomial_by_definition(m, k)
-    assert seen[-1] == prod(fib(i) for i in [*range(1, k // 4 + 1), *kept])
-
-
-@pytest.mark.parametrize("m, k", [(400, 200), (480, 240)])
-def test_exact_final_divisor_is_under_20_percent_of_f1_to_fk(monkeypatch, m, k):
-    # counted work beside the clocks: the one quadratic division is by what the
-    # cancellations leave of F_1...F_k, about a sixth of its bits, not all of it;
-    # and each F_i above k/4 is divided once, into a slot chosen without trial
-    seen = divisors_seen(monkeypatch)
-    assert fibonomial_exact(m, k, cap=m) == fibonomial_row(m)[k]
-    full_bits = sum(fib(i).bit_length() for i in range(1, k + 1))
-    assert max(d.bit_length() for d in seen) <= 0.2 * full_bits
-    assert len(seen) <= k - k // 4 + 1
+def test_exact_is_the_product_over_the_carry_set():
+    # e_d = floor(m/d) - floor(k/d) - floor((m-k)/d) is 0 or 1, and 1 exactly where
+    # k mod d > m mod d (Knuth and Wilf's carry count, for Fibonacci primitive parts)
+    fibonomial_exact(120, 1, cap=120)
+    parts = oracle._parts
+    for m in range(0, 121):
+        row = fibonomial_row(m)
+        for k in range(0, m + 1):
+            exponents = [m // d - k // d - (m - k) // d for d in range(1, m + 1)]
+            assert set(exponents) <= {0, 1}
+            assert prod(parts[d] ** e for d, e in enumerate(exponents, 1)) == row[k], (m, k)
 
 
 @pytest.mark.parametrize("p", [*SMALL_PRIMES, 2**31 - 1, 2**61 - 1])
@@ -101,24 +90,43 @@ def test_exact_symmetry(m, data):
     assert fibonomial_exact(m, k) == fibonomial_exact(m, m - k)
 
 
-def test_exact_peak_memory_stays_small():
-    # the quotient is built afresh each call: no product table grows with m
+def peak_and_kept_bytes(fn):
     tracemalloc.start()
     try:
-        value = fibonomial_exact(1200, 600, cap=1200)
-        peak = tracemalloc.get_traced_memory()[1]
+        value = fn()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return value, peak, kept
+
+
+def test_exact_peak_memory_stays_small(cold_prefixes):
+    # a build steps every F_n into one list and sieves it in place: about 270 KiB
+    # at its peak to EXACT_CAP_MAX, and the table it keeps holds about 176 KiB
+    _, peak, kept = peak_and_kept_bytes(lambda: oracle._grow_parts(EXACT_CAP_MAX))
+    assert peak < 384 * 2**10, peak
+    assert kept < 192 * 2**10, kept
+    value, peak, _ = peak_and_kept_bytes(lambda: fibonomial_exact(1200, 600, cap=1200))
     assert peak < 2 * 2**20, peak
     assert value == fibonomial_by_definition(1200, 600)
 
 
-def test_exact_non_integral_quotient_raises(monkeypatch):
-    # a wrong seed F_11 = 90 carries into every stepped factor F_12..F_20,
-    # and the quotient by F_1...F_10 is then not an integer
-    monkeypatch.setattr(oracle, "fib", lambda i: 90 if i == 11 else fib(i))
+def patch_a_seed(monkeypatch, index, seed):
+    """Make F_index wrong for the next build, which starts there; return the table."""
+    oracle.clear_caches()
+    if index > 1:
+        oracle._grow_parts(index - 1)
+    monkeypatch.setattr(oracle, "fib", lambda i: seed if i == index else fib(i))
+    return oracle._parts
+
+
+def test_exact_non_integral_quotient_raises(cold_prefixes, monkeypatch):
+    # a wrong seed F_11 = 90 carries into every stepped factor F_12..F_22, and
+    # what the sieve leaves of F_12 = 145 is odd, so P_3 = 2 does not divide it
+    table = patch_a_seed(monkeypatch, 11, 90)
     with pytest.raises(FormulaIntegrityError, match="not an integer"):
         fibonomial_exact(20, 10)
+    assert oracle._parts is table  # a failed build keeps nothing
 
 
 @pytest.mark.parametrize("k", [31, 32, 33, 63, 64, 65, 97])  # either side of each run boundary
@@ -136,39 +144,52 @@ def test_exact_matches_the_row(m, data):
     assert fibonomial_exact(m, k) == fibonomial_row(m)[k]
 
 
-def test_exact_non_integral_quotient_raises_past_the_first_run(monkeypatch):
-    # k = 50 spans two runs; a wrong seed F_51 carries into F_52..F_100
-    monkeypatch.setattr(oracle, "fib", lambda i: fib(51) + 1 if i == 51 else fib(i))
+def test_exact_non_integral_quotient_raises_past_the_first_run(cold_prefixes, monkeypatch):
+    # a wrong seed fib(51) + 1, past the first run of parts: it is odd, and the
+    # sieve divides it by P_3 = 2, since 3 divides 51
+    table = patch_a_seed(monkeypatch, 51, fib(51) + 1)
     with pytest.raises(FormulaIntegrityError, match="not an integer"):
         fibonomial_exact(100, 50)
+    assert oracle._parts is table
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("m, k, index, seed", [(20, 10, 11, 90), (100, 50, 51, fib(51) + 1)],
                          ids=["F_11=90", "F_51+1"])
-def test_exact_oracle_non_integral_quotient_raises(monkeypatch, p, m, k, index, seed):
-    # the oracle builds no quotient: the residue of the window factors' product
-    # mod what the divisor keeps is its integrality check, on every call
-    monkeypatch.setattr(oracle, "fib", lambda i: seed if i == index else fib(i))
+def test_exact_oracle_non_integral_quotient_raises(cold_prefixes, monkeypatch, p, m, k, index,
+                                                   seed):
+    # the oracle reads the same table, whose every division is checked by its remainder
+    table = patch_a_seed(monkeypatch, index, seed)
     with pytest.raises(FormulaIntegrityError, match="not an integer"):
         nu_fibonomial_oracle(p, m, k, OracleTier.EXACT)
+    assert oracle._parts is table
 
 
-def test_exact_oracle_rejects_a_window_factor_below_1(monkeypatch):
-    # zero seeds make every window factor 0, which any divisor divides; unguarded,
-    # p = 2 reads -1 from each factor and an odd p never leaves _nu_int
+@pytest.mark.parametrize("p", [2, 3])
+def test_exact_scaled_seeds_fail_the_end_of_build_check(cold_prefixes, monkeypatch, p):
+    # F_1 = 2 doubles every stepped F_n; every division of the sieve still holds,
+    # since P_1 = 2 takes the factor 2 out, so only the end check sees it
+    table = patch_a_seed(monkeypatch, 1, 2)
+    with pytest.raises(FormulaIntegrityError, match="drifted from fast doubling"):
+        nu_fibonomial_oracle(p, 20, 10, OracleTier.EXACT)
+    assert oracle._parts is table == []
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_exact_build_rejects_a_factor_below_1(cold_prefixes, monkeypatch, warm):
+    # zero seeds step every F_n to 0, and the end check's fib agrees; unguarded,
+    # the sieve divides by P_1 = 0 (or by a P_d = 0 past a warm table's end)
+    if warm:
+        oracle._grow_parts(10)
+    table = oracle._parts
     monkeypatch.setattr(oracle, "fib", lambda i: 0)
     for p in (2, 3):
         with pytest.raises(FormulaIntegrityError, match="below 1"):
             nu_fibonomial_oracle(p, 20, 10, OracleTier.EXACT)
-
-
-def test_exact_oracle_negative_sum_raises(monkeypatch):
-    # F_4 = 3 stays in the divisor at (32, 16) and is no window factor, so
-    # reading nu_3(3) one too high turns the true 0 into -1
-    monkeypatch.setattr(oracle, "_nu_int", lambda p, x: _nu_int(p, x) + (x == 3))
-    with pytest.raises(FormulaIntegrityError, match="negative valuation"):
-        nu_fibonomial_oracle(3, 32, 16, OracleTier.EXACT)
+    with pytest.raises(FormulaIntegrityError, match="below 1"):
+        fibonomial_exact(20, 10)
+    assert oracle._parts is table
+    assert len(table) == (11 if warm else 0)
 
 
 def test_modular_oracle_negative_sum_raises(cold_prefixes):
@@ -185,28 +206,44 @@ def test_exact_oracle_is_0_at_k_0_and_k_m(p):
         assert nu_fibonomial_oracle(p, m, m, OracleTier.EXACT).value == 0
 
 
-def test_exact_oracle_peak_memory_stays_under_the_quotient():
-    # counted: the oracle folds a residue mod the divisor, about 115 KB at its
-    # peak here; reading nu_p of fibonomial_exact's quotient peaks near 340 KB
-    tracemalloc.start()
-    try:
-        value = nu_fibonomial_oracle(3, 1200, 600, OracleTier.EXACT, cap=1200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 192 * 2**10, peak
+def test_exact_oracle_peak_memory_stays_under_the_quotient(cold_prefixes):
+    # counted: with the table built, a query holds only the list of its carry
+    # set's parts, about 7 KiB at its peak here; C(1200, 600)_F alone is about 31 KiB
+    oracle._grow_parts(1200)
+    value, peak, _ = peak_and_kept_bytes(
+        lambda: nu_fibonomial_oracle(3, 1200, 600, OracleTier.EXACT, cap=1200))
+    assert peak < 16 * 2**10, peak
     assert value == nu_fibonomial_oracle(3, 1200, 600, OracleTier.MODULAR)
 
 
-def test_exact_seeds_through_two_fib_calls(monkeypatch):
-    # the tracer counts tier A's seeds by patching the module-global name fib
+def test_exact_seeds_through_two_fib_calls(cold_prefixes, monkeypatch):
+    # the tracer counts tier A's fib calls by patching the module-global name fib:
+    # a build seeds through two calls and checks its last pair through two more
     calls = []
     monkeypatch.setattr(oracle, "fib", lambda i: calls.append(i) or fib(i))
-    queries = [(9, 0), (20, 10), (100, 50), (300, 97), (400, 399)]
-    for m, k in queries:
+    fibonomial_exact(20, 10)
+    assert calls == [0, 1, 20, 21]
+    del calls[:]
+    fibonomial_exact(30, 7)  # a build runs to at least twice the table's length
+    assert calls == [20, 21, 42, 43]
+    del calls[:]
+    for m, k in [(9, 0), (20, 10), (42, 21), (30, 29)]:
         fibonomial_exact(m, k)
-    nu_fibonomial_oracle(3, 200, 70, OracleTier.EXACT)
-    assert len(calls) == 2 * (len(queries) + 1)
+    nu_fibonomial_oracle(3, 40, 13, OracleTier.EXACT)
+    assert calls == []  # a warm query calls fib zero times
+
+
+def test_parts_table_is_bounded_and_cleared(cold_prefixes):
+    fibonomial_exact(300, 7, cap=300)
+    assert len(oracle._parts) == 301
+    fibonomial_exact(350, 7, cap=350)  # doubling stops at the call's cap
+    assert len(oracle._parts) == 351
+    nu_fibonomial_oracle(5, 600, 300, OracleTier.EXACT, cap=EXACT_CAP_MAX)
+    assert len(oracle._parts) == 703  # to twice 351, within EXACT_CAP_MAX
+    nu_fibonomial_oracle(5, EXACT_CAP_MAX, 300, OracleTier.EXACT, cap=EXACT_CAP_MAX)
+    assert len(oracle._parts) == EXACT_CAP_MAX + 1
+    oracle.clear_caches()
+    assert oracle._parts == []
 
 
 def test_exact_cap_enforced():
