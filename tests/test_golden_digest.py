@@ -16,15 +16,23 @@ twentieth row from 140 to 480: one over each Fibonomial coefficient
 valuation, with p cycling through the primes up to 13 from cell to cell.
 Each int is hashed as hex: ``repr`` of C(480, 240)_F, with more than 4,300
 digits, raises on Python 3.11.
+
+The last two digests cover the JSON report of ``run_verify`` on the shape of
+the benchmark's verify_grid workload (the primes up to 31, a <= 4, index
+5,000), with ``elapsed_seconds`` set to 0: once as it runs, once with a
+delta-table entry wrong (criterion 9's first mutation), so that the
+mismatch rows and their order are pinned too.
 """
 
 import hashlib
+import json
 
+import fibval.formulas as formulas
 import fibval.verify as verify
 from fibval.arith import _nu_int
 from fibval.formulas import nu_central, nu_fibonomial_formula, nu_ratio_prime_powers
 from fibval.oracle import OracleTier, fibonomial_exact, nu_fibonomial_oracle
-from fibval.verify import VerifyConfig
+from fibval.verify import VerifyConfig, run_verify
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 CONFIG = VerifyConfig(GRID_PRIMES, a_max=4, n_max=10**4, index_cap=10**4)
@@ -36,6 +44,10 @@ TIER_A_PRIMES = (2, 3, 5, 7, 11, 13)
 TIER_A_ROWS = (*range(121), *range(140, TIER_A_CAP + 1, 20))
 TIER_A_EXACT_DIGEST = "0bffad5116d4b53c43dc5ec7492356cb47eeafbd5acdd695429be9f5b62f5915"
 TIER_A_ORACLE_DIGEST = "9aad8fa8b92ad4ef45421515a310a23d3e2f49c82e9d949f544c8f76f2c31983"
+
+VERIFY_GRID = VerifyConfig(GRID_PRIMES, a_max=4, n_max=5_000, index_cap=5_000)
+VERIFY_REPORT_DIGEST = "1662c8e3bc7735af99f4b5f6f6fc89a049fdf2826bab139d6e2976a31ee2c2c4"
+VERIFY_MUTANT_REPORT_DIGEST = "6bf374918f26e5be55f8920dba791468e7c7bf4f09553e8dc6f94ad48eacadb0"
 
 
 def _sha256(lines):
@@ -92,3 +104,19 @@ def test_tier_a_valuations_match_the_golden_digest():
         value = nu_fibonomial_oracle(p, m, k, OracleTier.EXACT, cap=TIER_A_CAP).value
         lines.append(f"{p} {m} {k} {value:x}")
     assert _sha256(lines) == TIER_A_ORACLE_DIGEST
+
+
+def _report_digest(config):
+    doc = json.loads(run_verify(config).to_json())
+    doc["elapsed_seconds"] = 0
+    return hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+
+
+def test_verify_report_matches_the_golden_digest():
+    assert _report_digest(VERIFY_GRID) == VERIFY_REPORT_DIGEST
+
+
+def test_mismatching_verify_report_matches_the_golden_digest(monkeypatch):
+    # 260 mismatch rows, sorted, at exit code 1
+    monkeypatch.setitem(formulas.DELTA2_EVEN_A, 3, 0)
+    assert _report_digest(VERIFY_GRID) == VERIFY_MUTANT_REPORT_DIGEST
