@@ -4,10 +4,13 @@ Subcommands: eval (single valuation, optionally explained), scan
 (divisibility/oddness range scans), verify (formula-vs-oracle grid with
 branch coverage), table (per-n valuation tables).
 
-Exit codes: 0 ok, also when the reader closes stdout early (as ``| head``
-does: the rest of the output is dropped); 1 formula/oracle mismatch or
-integrity failure; 2 usage; 3 eval disagreement under --method both;
-4 branch-coverage gap.
+Exit codes: 0 ok; 1 formula/oracle mismatch or integrity failure; 2 usage;
+3 eval disagreement under --method both; 4 branch-coverage gap.  When the
+reader closes stdout early (as ``| head`` does), the rest of the output is
+dropped.  If the command has returned by then, with its output still
+buffered (a short verify report, say), it exits with its own code; if the
+pipe breaks while the command itself still writes (a long table), it exits
+0, as it has no code of its own yet.
 
 The library checks every value it is given (every ValueError it raises
 exits 2), so the commands check only what it cannot: flag presence, the
@@ -333,10 +336,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    code = EXIT_OK  # kept if the pipe breaks before the command returns
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone shows here, not in the interpreter's exit
-        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -347,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader has gone: what is left to write goes to devnull, so that
         # the interpreter's final flush of stdout raises nothing either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+    return code
 
 
 def console_main() -> None:

@@ -3,27 +3,30 @@
 Two deliberately naive, mutually independent routes:
 
 * tier A ("exact"): the Fibonomial coefficient as a product of Fibonacci
-  primitive parts.  F_n is the product of P_d over the divisors d of n,
-  so C(m, k)_F = F_(m-k+1)...F_m / (F_1...F_k) is the product of P_d over
-  its carry set, the d <= m with e_d = floor(m/d) - floor(k/d) -
-  floor((m-k)/d) = 1, that is with k mod d > m mod d; e_d is always 0 or
-  1 (Knuth and Wilf, "The power of a prime that divides a generalized
-  binomial coefficient", J. reine angew. Math. 396, 1989).  The parts
-  come from one module-level table, _parts[d] = P_d, built by a divisor
-  sieve over F_1..F_n, stepped by addition from two ``fib`` seeds: each
-  F_n is divided by P_d for every proper divisor d of n, by a division
-  checked by its remainder.  A build rejects a stepped factor below 1
-  before it sieves, and ends by comparing the stepped pair with ``fib``;
-  any failure raises FormulaIntegrityError and leaves the table as it
-  was.  ``fibonomial_exact`` multiplies the carry set's parts, runs of 32
-  one at a time and then the run products as a balanced tree, so that
-  its large multiplications pair operands of like size; the oracle sums
-  nu_p over the same parts, by one rule for each part.  So tier A keeps
-  state: a build runs to at least twice the table's length, within the
-  call's index cap, so the table never holds more than EXACT_CAP_MAX + 1
-  entries (about 176 KiB), and ``clear_caches`` drops it.  The index
-  cap, the ``cap`` argument alone (EXACT_CAP_DEFAULT if not given, at
-  most EXACT_CAP_MAX), bounds the time a call takes;
+  primitive parts.  F_n is the product of P_d over the divisors d of n, so
+  C(m, k)_F = F_(m-k+1)...F_m / (F_1...F_k) is the product of P_d over its
+  carry set, the d <= m with e_d = floor(m/d) - floor(k/d) -
+  floor((m-k)/d) = 1, that is with k mod d > m mod d; e_d is always 0 or 1
+  (Knuth and Wilf, "The power of a prime that divides a generalized
+  binomial coefficient", J. reine angew. Math. 396, 1989).  Above m/2,
+  m mod d = m - d, so there the rule picks exactly the d > max(k, m - k):
+  it runs for d <= m/2 only, and the rest of the carry set is one slice of
+  the table.  The parts come from one module-level table, _parts[d] = P_d,
+  built by a divisor sieve over F_1..F_n, stepped by addition from two
+  ``fib`` seeds: each F_n is divided by P_d for every proper divisor d of
+  n, by a division checked by its remainder.  A build rejects a stepped
+  factor below 1 before it sieves, and ends by comparing the stepped pair
+  with ``fib``; any failure raises FormulaIntegrityError and leaves the
+  table as it was.  ``fibonomial_exact`` multiplies the carry set's parts,
+  runs of 32 one at a time and then the run products as a balanced tree,
+  so that its large multiplications pair operands of like size; the oracle
+  sums nu_p over the parts that p divides, by one rule for each part (at
+  p = 2, the lowest set bit of each even part).  So tier A keeps state: a
+  build runs to at least twice the table's length, within the call's index
+  cap, so the table never holds more than EXACT_CAP_MAX + 1 entries (about
+  176 KiB), and ``clear_caches`` drops it.  The index cap, the ``cap``
+  argument alone (EXACT_CAP_DEFAULT if not given, at most EXACT_CAP_MAX),
+  bounds the time a call takes;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -117,7 +120,7 @@ def _run_product(xs: list[int]) -> int:
 def _nu_factors(p: int, xs: list[int]) -> int:
     """nu_p of the product of xs, each >= 1, summed over the factors p divides."""
     if p == 2:
-        return sum((x & -x).bit_length() - 1 for x in xs)
+        return sum((x & -x).bit_length() - 1 for x in xs if not x & 1)
     return sum(_nu_int(p, x) for x in xs if not x % p)
 
 
@@ -166,6 +169,8 @@ def _grow_parts(top: int) -> list[int]:
 def _carry_parts(m: int, k: int, cap: int | None) -> list[int]:
     """The parts P_d of C(m, k)_F: those of the d <= m with k mod d > m mod d.
 
+    The rule runs for d <= m/2 only: above m/2, m mod d = m - d, so the
+    carry set there is the d > max(k, m - k), one slice of the table.
     Checks ``cap`` and the indices (see ``fibonomial_exact``).  A table
     that stops short of m is grown to at least twice its length, within
     ``cap``.
@@ -183,7 +188,8 @@ def _carry_parts(m: int, k: int, cap: int | None) -> list[int]:
     parts = _parts
     if len(parts) <= m:
         parts = _grow_parts(max(m, min(2 * len(parts), cap)))
-    return [parts[d] for d in range(1, m + 1) if k % d > m % d]
+    return ([parts[d] for d in range(1, m // 2 + 1) if k % d > m % d]
+            + parts[max(k, m - k) + 1:m + 1])
 
 
 def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:

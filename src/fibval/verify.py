@@ -2,7 +2,10 @@
 
 A run walks every central cell (p, a, n) of the configured grid, compares
 the closed form against the brute-force oracle, and re-derives each cell
-through the general and ratio formulas where those apply.  Two small
+through the general and ratio formulas where those apply.  It walks each
+prime's cells from its top index p^a*n down, so that the prime's first
+oracle query builds the whole tier-B prefix (or tier-A table) the central
+cells read, in one sweep, rather than in a build per doubling.  Two small
 deterministic sweeps are appended so that case-table rows the central grid
 can never reach (e.g. ratio rows with distinct cofactors) still fire; the
 sweeps are checked against the modular oracle.  Every formula call, central
@@ -198,9 +201,11 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
             mismatches.append(Mismatch(p, a, n, value, ora, branch, m, k, check))
 
     for p in sorted(config.primes):
-        for a in config.exponents(p):
+        # from the prime's top index down, so that its first query builds its whole prefix
+        tops = sorted(((p**a * config.n_limit(p, a), a) for a in config.exponents(p)), reverse=True)
+        for top, a in tops:
             pa = p**a
-            for n in range(1, config.n_limit(p, a) + 1):
+            for n in range(top // pa, 0, -1):
                 cells += 1
                 m = pa * n
                 ora = nu_fibonomial_oracle(p, m, n, config.tier).value

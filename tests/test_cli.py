@@ -698,6 +698,42 @@ def test_output_into_a_closed_pipe_exits_0_quietly(argv, tmp_path):
     assert stderr == "" and code == cli.EXIT_OK, (code, stderr)
 
 
+MISMATCHING_VERIFY = """
+import sys
+import fibval.formulas as formulas
+from fibval.cli import main
+formulas.DELTA2_EVEN_A[3] = 0  # criterion 9's first mutation: 2 mismatches on this grid
+sys.exit(main(["verify", "--p-set", "2", "--a-max", "2", "--n-max", "12", "--index-cap", "100"]))
+"""
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["read", "closed"])
+def test_a_mismatching_verify_keeps_its_exit_code_into_a_pipe(closed, tmp_path):
+    # the short report is still buffered when the command returns, so a reader
+    # that has already gone shows only at main's flush: it must not hide the
+    # mismatch code
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    if closed:
+        os.close(read_end)
+    with open(tmp_path / "stderr", "w+b") as err:
+        try:
+            proc = subprocess.Popen([sys.executable, "-c", MISMATCHING_VERIFY], env=env,
+                                    stdout=write_end, stderr=err)
+        finally:
+            os.close(write_end)
+        if not closed:
+            with os.fdopen(read_end, "rb") as reader:
+                assert len(json.loads(reader.read())["mismatches"]) == 2
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        stderr = err.read().decode()
+    assert code == cli.EXIT_MISMATCH
+    assert "Traceback" not in stderr
+    assert "2 mismatches" in stderr and stderr.count("\n") == 1, stderr
+
+
 # --- fuzz -------------------------------------------------------------------
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 2**64 - 59)

@@ -71,12 +71,25 @@ def test_exact_is_the_product_over_the_carry_set():
             assert prod(parts[d] ** e for d, e in enumerate(exponents, 1)) == row[k], (m, k)
 
 
+def test_carry_parts_is_the_carry_rule_over_every_d():
+    # the rule runs for d <= m/2 and the d above are one slice, those above
+    # max(k, m - k): the same parts in the same order as the rule over every d <= m
+    fibonomial_exact(480, 1, cap=480)
+    parts = oracle._parts
+    for m in (*range(201), *range(200, 481, 7)):
+        for k in range(m + 1):
+            expected = [parts[d] for d in range(1, m + 1) if k % d > m % d]
+            assert oracle._carry_parts(m, k, 480) == expected, (m, k)
+
+
 @pytest.mark.parametrize("p", [*SMALL_PRIMES, 2**31 - 1, 2**61 - 1])
 def test_exact_valuation_matches_nu_int(p):
-    # tier A reads nu_p of the window and of the divisor by this one rule, a
-    # sum over the factors; p = 2 reads each factor's lowest set bit
+    # tier A reads nu_p of its carry set's parts by this one rule, a sum over
+    # the factors p divides; p = 2 reads the lowest set bit of each even factor.
+    # The Fibonacci numbers add runs of factors that p does and does not divide.
     cofactors = (1, p - 1, p + 1, fib(480), fib(481) * (p - 1))
     factors = [p**v * t for v in (0, 1, 2, 5, 40) for t in cofactors]
+    factors += [fib(i) for i in range(1, 50)]
     for x in factors:
         assert oracle._nu_factors(p, [x]) == _nu_int(p, x), x
     assert oracle._nu_factors(p, factors) == _nu_int(p, prod(factors))

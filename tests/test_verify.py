@@ -296,3 +296,37 @@ def test_sweep_preflight_bounds_are_exact(monkeypatch):
     monkeypatch.setattr(verify, "MODULAR_CAP", 1_451)
     with pytest.raises(ValueError, match="modular-tier cap 1451"):
         run_verify(config)
+
+
+def test_each_prime_builds_its_prefix_in_one_sweep(monkeypatch):
+    # the benchmark's verify_grid shape: each prime's first query is at its top
+    # index, so the central cells and both sweeps read one prefix per prime,
+    # built once and to that index; the oracle runs once per checked cell
+    import fibval.oracle as oracle
+
+    config = VerifyConfig(primes=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), a_max=4,
+                          n_max=5_000, index_cap=5_000)
+    builds = []
+    extend = oracle._extend_prefix
+
+    def counted_build(p, sums, j):
+        builds.append(p)
+        extend(p, sums, j)
+
+    queries = []
+    query = verify.nu_fibonomial_oracle
+
+    def counted_query(*args):
+        queries.append(args)
+        return query(*args)
+
+    oracle.clear_caches()
+    monkeypatch.setattr(oracle, "_extend_prefix", counted_build)
+    monkeypatch.setattr(verify, "nu_fibonomial_oracle", counted_query)
+    report = run_verify(config)
+    assert sorted(builds) == sorted(config.primes)
+    for p in config.primes:
+        top = max(p**a * config.n_limit(p, a) for a in config.exponents(p))
+        assert len(oracle._val_sums[p]) == top + 1, p
+    assert len(queries) == report.cells_checked == 19_984
+    assert report.exit_code == 0
