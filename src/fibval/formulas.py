@@ -30,14 +30,15 @@ global costs about 0.01 us, and one evaluation makes several such reads.
 The formulas themselves stay module globals looked up at call time, so
 that a tracer can patch them.
 
-Results skip a NamedTuple's keyword-argument ``__new__``.  Each site checks
-that its value is not negative, then reads it from ``arith._VALUATIONS``
-(Valuation(0) .. Valuation(127), built once) or, past that bound, builds a
-``Valuation``.  Each ``BranchTrace`` comes from ``_new``, ``tuple.__new__``
-bound once (on CPython 3.11 every ``tuple.__new__`` is a lookup on a type),
-with its fields positionally in declared order.  A slip in that order would
-go unnoticed by the type, so ``test_trace_field_order`` pins the field
-order and the golden traces in ``tests/test_formulas.py`` pin every site.
+Results skip a NamedTuple's keyword-argument ``__new__``.  Each entry ends
+in one check that its value is not negative, then reads it from
+``arith._VALUATIONS`` (Valuation(0) .. Valuation(127), built once) or, past
+that bound, builds a ``Valuation``.  Each entry builds its ``BranchTrace``
+once, through ``_new``, ``tuple.__new__`` bound once (on CPython 3.11 every
+``tuple.__new__`` is a lookup on a type), with its fields positionally in
+declared order.  A slip in that order would go unnoticed by the type, so
+``test_trace_field_order`` pins the field order and the golden traces in
+``tests/test_formulas.py`` pin every entry.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .arith import (
     digit_sum,
     show_int,
 )
-from .rank import _PLUS_MINUS_1, _PLUS_MINUS_2, RankRecord, rank_of_apparition
+from .rank import _PLUS_MINUS_1, _PLUS_MINUS_2, rank_of_apparition
 
 # Residues and floors use a fixed-width fast path; larger indices would
 # need new caps on the oracle side anyway.
@@ -216,11 +217,42 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
         return _VALUATIONS[0], _new(BranchTrace, (
             theorem, BOUNDARY_LABEL, None, None, None, None, None, None, None, None, None,
             None, None))
+    z, nu_fz = rec.z, rec.nu_fz
+    A = mp = kp = None
     if p == 2:
-        return _nu2_general(m, k)
-    if p == 5:
-        return _nu5_general(m, k)
-    return _nup_general(rec, m, k)
+        theorem, modulus = _T2ADIC_GENERAL, 6
+        r, s = m % 6, k % 6
+        A = (_nu_factorial_int(2, m // 6)
+             - _nu_factorial_int(2, k // 6)
+             - _nu_factorial_int(2, (m - k) // 6))
+        if (r, s) in _EXC_GE:
+            bump, label = 1, "r>=s exceptional"
+        elif (r, s) in _EXC_LT:
+            bump, label = 2, "r<s exceptional"
+        elif r >= s:
+            bump, label = 0, "r>=s"
+        else:
+            bump, label = 3, "r<s"
+        value = A + bump
+    elif p == 5:
+        # 5-adically the Fibonomial and the ordinary binomial agree.
+        theorem, label, modulus, r, s = _T5ADIC, "binomial", 5, None, None
+        value = _binom_val(5, m, k)
+    else:
+        theorem, modulus = _TP_GENERAL_MK, z
+        mp, r = divmod(m, z)
+        kp, s = divmod(k, z)
+        value = _binom_val(p, mp, kp)
+        if r < s:
+            value += _nu_int(p, (m - k) // z + 1) + nu_fz
+            label = "r<s"
+        else:
+            label = "r>=s"
+    if value < 0:
+        raise FormulaIntegrityError(f"negative valuation at (p={p}, m={m}, k={k})")
+    trace = _new(BranchTrace, (
+        theorem, label, modulus, r, s, A, None, None, z, nu_fz, None, mp, kp))
+    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 def _binom_val(p: int, mp: int, kp: int) -> int:
@@ -228,54 +260,6 @@ def _binom_val(p: int, mp: int, kp: int) -> int:
     return (_nu_factorial_int(p, mp)
             - _nu_factorial_int(p, kp)
             - _nu_factorial_int(p, mp - kp))
-
-
-def _nu2_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
-    r, s = m % 6, k % 6
-    a2 = (_nu_factorial_int(2, m // 6)
-          - _nu_factorial_int(2, k // 6)
-          - _nu_factorial_int(2, (m - k) // 6))
-    if (r, s) in _EXC_GE:
-        bump, label = 1, "r>=s exceptional"
-    elif (r, s) in _EXC_LT:
-        bump, label = 2, "r<s exceptional"
-    elif r >= s:
-        bump, label = 0, "r>=s"
-    else:
-        bump, label = 3, "r<s"
-    value = a2 + bump
-    if value < 0:
-        raise FormulaIntegrityError(f"negative valuation at (p=2, m={m}, k={k})")
-    trace = _new(BranchTrace, (
-        _T2ADIC_GENERAL, label, 6, r, s, a2, None, None, 3, 1, None, None, None))
-    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
-
-
-def _nu5_general(m: int, k: int) -> tuple[Valuation, BranchTrace]:
-    # 5-adically the Fibonomial and the ordinary binomial agree.
-    value = _binom_val(5, m, k)
-    if value < 0:
-        raise FormulaIntegrityError(f"negative valuation at (p=5, m={m}, k={k})")
-    trace = _new(BranchTrace, (
-        _T5ADIC, "binomial", 5, None, None, None, None, None, 5, 1, None, None, None))
-    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
-
-
-def _nup_general(rec: RankRecord, m: int, k: int) -> tuple[Valuation, BranchTrace]:
-    p, z = rec.p, rec.z
-    mp, r = divmod(m, z)
-    kp, s = divmod(k, z)
-    value = _binom_val(p, mp, kp)
-    if r < s:
-        value += _nu_int(p, (m - k) // z + 1) + rec.nu_fz
-        label = "r<s"
-    else:
-        label = "r>=s"
-    if value < 0:
-        raise FormulaIntegrityError(f"negative valuation at (p={p}, m={m}, k={k})")
-    trace = _new(BranchTrace, (
-        _TP_GENERAL_MK, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
-    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
 # ---------------------------------------------------------------------------
@@ -297,92 +281,74 @@ def nu_ratio_prime_powers(p: int, l1: int, b: int, l2: int, a: int
     k_index = check_index(p, a, l2)
     if m_index <= k_index:
         raise ValueError(f"need l1*p^b > l2*p^a, got {m_index} <= {k_index}")
-    if p == 2:
-        return _nu2_ratio(l1, b, l2, a)
-    return _nup_ratio(rec, l1, b, l2, a)
-
-
-def _gap_val(p: int, mp: int, kp: int, where: str) -> int:
-    if mp <= kp:
-        raise FormulaIntegrityError(f"m_p <= k_p in branch {where!r}; gap term undefined")
-    return _nu_int(p, mp - kp)
-
-
-def _nu2_ratio(l1: int, b: int, l2: int, a: int) -> tuple[Valuation, BranchTrace]:
-    m2 = l1 * 2**(b - a) // 3
-    k2 = l2 // 3
-    binom = _binom_val(2, m2, k2)
-    c1, c2 = l1 % 3, l2 % 3
-    if (b - a) % 2 == 0:
-        if c1 == c2 or c2 == 0:
-            value, label = binom, "p2 a=b (eq or l2=0)"
-        elif c1 == 0:
-            value = a + 2 + _gap_val(2, m2, k2, "p2 a=b (l1=0)") + binom
-            label = "p2 a=b (l1=0)"
-        elif (c1, c2) == (1, 2):
-            value = (a + 1) // 2 + 1 + _gap_val(2, m2, k2, "p2 a=b (1,2)") + binom
-            label = "p2 a=b (1,2)"
-        else:  # (c1, c2) == (2, 1)
-            value = (a + 2) // 2 + binom
-            label = "p2 a=b (2,1)"
-    else:
-        if (c1 + c2) % 3 == 0 or c2 == 0:
-            value, label = binom, "p2 a!=b (neg or l2=0)"
-        elif c1 == 0:
-            value = a + 2 + _gap_val(2, m2, k2, "p2 a!=b (l1=0)") + binom
-            label = "p2 a!=b (l1=0)"
-        elif (c1, c2) == (1, 1):
-            value = (a + 2) // 2 + binom
-            label = "p2 a!=b (1,1)"
-        else:  # (c1, c2) == (2, 2)
-            value = (a + 1) // 2 + 1 + _gap_val(2, m2, k2, "p2 a!=b (2,2)") + binom
-            label = "p2 a!=b (2,2)"
-    if value < 0:
-        raise FormulaIntegrityError(f"negative ratio valuation at (2, {l1}, {b}, {l2}, {a})")
-    trace = _new(BranchTrace, (
-        _TRATIO, label, 3, l1 * pow(2, b, 3) % 3, l2 * pow(2, a, 3) % 3,
-        None, None, None, 3, 1, None, m2, k2))
-    return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
-
-
-def _nup_ratio(rec: RankRecord, l1: int, b: int, l2: int, a: int
-               ) -> tuple[Valuation, BranchTrace]:
-    p, z = rec.p, rec.z
+    z, nu_fz = rec.z, rec.nu_fz
     mp = l1 * p**(b - a) // z
     kp = l2 // z
     r = l1 * pow(p, b, z) % z
     s = l2 * pow(p, a, z) % z
     binom = _binom_val(p, mp, kp)
-    if rec.mod5 is _PLUS_MINUS_1:
+    if p == 2:
+        c1, c2 = l1 % 3, l2 % 3
+        if (b - a) % 2 == 0:
+            if c1 == c2 or c2 == 0:
+                value, label = binom, "p2 a=b (eq or l2=0)"
+            elif c1 == 0:
+                label = "p2 a=b (l1=0)"
+                value = a + 2 + _gap_val(2, mp, kp, label) + binom
+            elif (c1, c2) == (1, 2):
+                label = "p2 a=b (1,2)"
+                value = (a + 1) // 2 + 1 + _gap_val(2, mp, kp, label) + binom
+            else:  # (c1, c2) == (2, 1)
+                value = (a + 2) // 2 + binom
+                label = "p2 a=b (2,1)"
+        else:
+            if (c1 + c2) % 3 == 0 or c2 == 0:
+                value, label = binom, "p2 a!=b (neg or l2=0)"
+            elif c1 == 0:
+                label = "p2 a!=b (l1=0)"
+                value = a + 2 + _gap_val(2, mp, kp, label) + binom
+            elif (c1, c2) == (1, 1):
+                value = (a + 2) // 2 + binom
+                label = "p2 a!=b (1,1)"
+            else:  # (c1, c2) == (2, 2)
+                label = "p2 a!=b (2,2)"
+                value = (a + 1) // 2 + 1 + _gap_val(2, mp, kp, label) + binom
+    elif rec.mod5 is _PLUS_MINUS_1:
         if r < s:
-            value = a + _gap_val(p, mp, kp, "pm1 r<s") + rec.nu_fz + binom
             label = "pm1 r<s"
+            value = a + _gap_val(p, mp, kp, label) + nu_fz + binom
         else:
             value, label = binom, "pm1 r>=s"
     else:
         if r == s or l2 % z == 0:
             value, label = binom, "pm2 r=s or l2=0"
         elif l1 % z == 0:
-            value = a + rec.nu_fz + _gap_val(p, mp, kp, "pm2 l1=0") + binom
             label = "pm2 l1=0"
+            value = a + nu_fz + _gap_val(p, mp, kp, label) + binom
         elif a % 2 == 0:
             if r > s:
                 value, label = a // 2 + binom, "pm2 a even r>s"
             else:
-                value = a // 2 + rec.nu_fz + _gap_val(p, mp, kp, "pm2 a even r<s") + binom
                 label = "pm2 a even r<s"
+                value = a // 2 + nu_fz + _gap_val(p, mp, kp, label) + binom
         else:
             if r > s:
-                value = (a + 1) // 2 + _gap_val(p, mp, kp, "pm2 a odd r>s") + binom
                 label = "pm2 a odd r>s"
+                value = (a + 1) // 2 + _gap_val(p, mp, kp, label) + binom
             else:
-                value = (a - 1) // 2 + rec.nu_fz + binom
+                value = (a - 1) // 2 + nu_fz + binom
                 label = "pm2 a odd r<s"
     if value < 0:
         raise FormulaIntegrityError(f"negative ratio valuation at ({p}, {l1}, {b}, {l2}, {a})")
     trace = _new(BranchTrace, (
-        _TRATIO, label, z, r, s, None, None, None, z, rec.nu_fz, None, mp, kp))
+        _TRATIO, label, z, r, s, None, None, None, z, nu_fz, None, mp, kp))
     return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
+
+
+def _gap_val(p: int, mp: int, kp: int, where: str) -> int:
+    if mp <= kp:
+        raise FormulaIntegrityError(f"m_p <= k_p in branch {where!r}; gap term undefined")
+    return _nu_int(p, mp - kp)
 
 
 # ---------------------------------------------------------------------------

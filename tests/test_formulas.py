@@ -230,15 +230,31 @@ def test_delta_table_mutation_trips_integrity_check(monkeypatch):
 
 
 # The general formula at (5, 12, 3) takes the binomial nu_5(12!) - nu_5(3!) -
-# nu_5(9!), and at (7, 20, 9) the binomial of (20 // 8, 9 // 8) = (2, 1); a
-# negative nu_p(mp!) makes either value negative, which must raise rather
-# than read _VALUATIONS[-1].
-@pytest.mark.parametrize("p, m, k", [(5, 12, 3), (7, 20, 9)])
-def test_negative_general_value_trips_integrity_check(p, m, k, monkeypatch):
-    mp = m if p == 5 else m // rank_of_apparition(p).z
-    monkeypatch.setattr(formulas, "_nu_factorial_int", lambda q, n: -1 if n == mp else 0)
+# nu_5(9!), at (7, 20, 9) the binomial of (20 // 8, 9 // 8) = (2, 1), and at
+# (2, 12, 6) the branch r>=s with A = nu_2(2!) - nu_2(1!) - nu_2(1!); a
+# negative nu_p(n!) at the n given makes each value negative, which must
+# raise rather than read _VALUATIONS[-1].
+@pytest.mark.parametrize("p, m, k, n", [(5, 12, 3, 12), (7, 20, 9, 2), (2, 12, 6, 2)],
+                         ids=["5-12-3", "7-20-9", "2-12-6"])
+def test_negative_general_value_trips_integrity_check(p, m, k, n, monkeypatch):
+    monkeypatch.setattr(formulas, "_nu_factorial_int", lambda q, x: -1 if x == n else 0)
     with pytest.raises(FormulaIntegrityError, match="negative valuation"):
         nu_fibonomial_formula(p, m, k)
+
+
+# One cell per prime class whose branch returns the bare binomial term, so a
+# binomial of -1 makes the value -1: it must raise, not read _VALUATIONS[-1]
+# (which is Valuation(127)).
+@pytest.mark.parametrize("p, l1, b, l2, a, label", [
+    (2, 4, 1, 1, 1, "p2 a=b (eq or l2=0)"),
+    (11, 1, 2, 1, 1, "pm1 r>=s"),
+    (3, 8, 1, 4, 1, "pm2 r=s or l2=0"),
+])
+def test_negative_ratio_value_trips_integrity_check(p, l1, b, l2, a, label, monkeypatch):
+    assert nu_ratio_prime_powers(p, l1, b, l2, a)[1].branch_label == label
+    monkeypatch.setattr(formulas, "_binom_val", lambda q, mp, kp: -1)
+    with pytest.raises(FormulaIntegrityError, match="negative ratio valuation"):
+        nu_ratio_prime_powers(p, l1, b, l2, a)
 
 
 # --- central 5-adic ---------------------------------------------------------
