@@ -12,16 +12,16 @@ handful of primes millions of times during a grid run.  A record exists only
 for a prime: a cache miss runs ``require_prime`` first, so the record is the
 formula layer's proof that p is prime, and p's class mod 5 is read from it
 without a second primality test.  The record stores that class as a field,
-set once per prime, so a read is a slot load rather than a residue test.
+set once per prime, so a read is a field read rather than a residue test.
 This is the package's one test of p mod 5: ``verify`` reads the class from
 the record too.  nu_p(F_z) comes from ``arith._index_valuation``, the
 prime-power search that the tier-B oracle also runs.
 
-Each ``Mod5Class`` member is also bound at import under a private module
-name (``_PLUS_MINUS_1``, ...), which the formula layer imports: on CPython
-3.11 reading ``Mod5Class.X`` goes through the enum type's ``__getattr__``,
-about ten times the cost of a module-global read, and the formulas compare
-the class on every evaluation.
+``Mod5Class.PLUS_MINUS_1`` and ``Mod5Class.PLUS_MINUS_2`` are also bound at
+import under private module names (``_PLUS_MINUS_1``, ``_PLUS_MINUS_2``),
+which the formula layer imports: on CPython 3.11 reading ``Mod5Class.X``
+goes through the enum type's ``__getattr__``, about ten times the cost of a
+module-global read, and the formulas compare the class on every evaluation.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from enum import Enum
+from typing import NamedTuple
 
 from .arith import FormulaIntegrityError, _index_valuation, fib_mod, is_prime, require_prime
 
@@ -45,53 +46,18 @@ class Mod5Class(Enum):
 
 _PLUS_MINUS_1 = Mod5Class.PLUS_MINUS_1
 _PLUS_MINUS_2 = Mod5Class.PLUS_MINUS_2
-_IS_5 = Mod5Class.IS_5
 
 
-class RankRecord:
+class RankRecord(NamedTuple):
     """The rank data of a prime p, read-only: z, the smallest index with
     p | F_z; nu_fz = nu_p(F_z) >= 1; mod5, p's class mod 5, which selects the
     closed-form branch.
-
-    A plain ``__slots__`` class with a frozen dataclass's constructor, repr,
-    equality and hash, so that importing the package does not load
-    ``dataclasses`` (and ``inspect``); not a tuple, because a slot read costs
-    less than a tuple field's getter on the formula path.
     """
 
-    __slots__ = ("p", "z", "nu_fz", "mod5")
-
-    def __init__(self, p: int, z: int, nu_fz: int, mod5: Mod5Class) -> None:
-        _set = object.__setattr__
-        _set(self, "p", p)
-        _set(self, "z", z)
-        _set(self, "nu_fz", nu_fz)
-        _set(self, "mod5", mod5)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple[int, int, int, Mod5Class]:
-        return self.p, self.z, self.nu_fz, self.mod5
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(p={self.p!r}, z={self.z!r}, "
-                f"nu_fz={self.nu_fz!r}, mod5={self.mod5!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self) -> tuple[type, tuple[int, int, int, Mod5Class]]:
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return type(self), self._fields()
+    p: int
+    z: int
+    nu_fz: int
+    mod5: Mod5Class
 
 
 _cache: dict[int, RankRecord] = {}
@@ -113,7 +79,7 @@ def rank_of_apparition(p: int) -> RankRecord:
         return rec
     require_prime(p)
     if p == 5:
-        mod5, z = _IS_5, _descend_rank(p, 5)
+        mod5, z = Mod5Class.IS_5, _descend_rank(p, 5)
     elif p % 5 in (1, 4):
         mod5, z = _PLUS_MINUS_1, _descend_rank(p, p - 1)
     else:

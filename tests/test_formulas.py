@@ -575,13 +575,15 @@ def test_trace_field_order():
 
 def test_hot_path_enum_names_are_bound_to_their_members():
     # the formula, oracle and verify bodies read members through these
-    # private names; every member of each enum must be bound to itself
+    # private names; every member of each enum must be bound to itself, and
+    # of Mod5Class the two members the formulas and verify compare against
     for module, enum in ((formulas, Theorem), (formulas, DivReason),
-                         (rank, Mod5Class), (oracle_module, OracleTier)):
+                         (oracle_module, OracleTier)):
         for member in enum:
             assert getattr(module, "_" + member.name) is member, (module.__name__, member)
-    assert formulas._PLUS_MINUS_1 is Mod5Class.PLUS_MINUS_1
-    assert formulas._PLUS_MINUS_2 is Mod5Class.PLUS_MINUS_2
+    for module in (rank, formulas):
+        assert module._PLUS_MINUS_1 is Mod5Class.PLUS_MINUS_1
+        assert module._PLUS_MINUS_2 is Mod5Class.PLUS_MINUS_2
     assert verify._MODULAR is OracleTier.MODULAR
 
 

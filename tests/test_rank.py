@@ -71,7 +71,7 @@ def test_record_equality_and_hash_follow_the_fields():
                   RankRecord(7, 8, 1, Mod5Class.PLUS_MINUS_1),
                   RankRecord(11, 8, 1, Mod5Class.PLUS_MINUS_2)):
         assert other != rec
-    assert rec != (7, 8, 1, Mod5Class.PLUS_MINUS_2)
+    assert tuple(rec) == (7, 8, 1, Mod5Class.PLUS_MINUS_2)
     assert len({rec, same, rank_of_apparition(11)}) == 2
     assert copy.copy(rec) == rec and pickle.loads(pickle.dumps(rec)) == rec
 
