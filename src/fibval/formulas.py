@@ -256,10 +256,30 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
 
 
 def _binom_val(p: int, mp: int, kp: int) -> int:
-    """nu_p of the binomial coefficient C(mp, kp), by Legendre's formula."""
-    return (_nu_factorial_int(p, mp)
-            - _nu_factorial_int(p, kp)
-            - _nu_factorial_int(p, mp - kp))
+    """nu_p of the binomial coefficient C(mp, kp): the borrows of mp - kp in base p.
+
+    Kummer's theorem, counted in one walk over the base-p digits from the
+    lowest, which stops once kp's digits and the borrow are spent.  At
+    p = 2 the count is s_2(kp) + s_2(mp - kp) - s_2(mp), by popcounts.  The
+    walk divides by p only to split off digits, so unlike Legendre's
+    formula it has no quotient to check for exactness; kp outside 0..mp is
+    a caller bug and raises.
+    """
+    if not 0 <= kp <= mp:
+        raise FormulaIntegrityError(
+            f"C({show_int(mp)}, {show_int(kp)}) needs 0 <= kp <= mp for p={p}")
+    if p == 2:
+        return kp.bit_count() + (mp - kp).bit_count() - mp.bit_count()
+    borrows = borrow = 0
+    while kp or borrow:
+        if mp % p < kp % p + borrow:
+            borrows += 1
+            borrow = 1
+        else:
+            borrow = 0
+        mp //= p
+        kp //= p
+    return borrows
 
 
 # ---------------------------------------------------------------------------

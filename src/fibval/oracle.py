@@ -30,12 +30,17 @@ Two deliberately naive, mutually independent routes:
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
-The tier-B sweep fixes M = p^E, the largest power of p below 2^63 (M = p
-for p >= 2^63), seeds the pair (F_i, F_{i+1}) mod M by fast doubling at the
-end of the prefix built so far, and steps it with one addition and one
-conditional subtraction per index.  The residue r = F_i mod M gives the
-valuation exactly whenever r != 0: nu_p(F_i) = nu_p(r), since nu_p(r) < E.
-Only r = 0 (p^E | F_i) falls back to ``arith._index_valuation``, which
+The tier-B sweep fixes M = p^E, the largest power of p below 2^30 when
+that gives E >= 2 (M = 2^29 at p = 2), so that on CPython every residue is
+a one-digit int; for p > 2^15 it is the largest power below 2^63 (M = p for
+p >= 2^63), since a one-digit M = p would send every multiple of z(p) to
+the fallback below.  The sweep seeds the pair (F_i, F_{i+1}) mod M by fast
+doubling at the end of the prefix built so far, and steps it with one
+addition and one conditional subtraction per index.  The residue
+r = F_i mod M gives the valuation exactly whenever r != 0:
+nu_p(F_i) = nu_p(r), since nu_p(r) < E; at p = 2 that is the lowest set
+bit of r, the rule tier A uses.  Only r = 0 (p^E | F_i; at p = 2 first at
+i = 3*2^27, past MODULAR_CAP) falls back to ``arith._index_valuation``, which
 tests F_i against increasing prime powers with fast doubling, up to a hard
 exponent cap; that search lives in ``arith`` because the rank layer reads
 nu_p(F_z(p)) from it too.  When a build ends at index j, the stepped pair
@@ -82,6 +87,7 @@ MODULAR_CAP = 10**7
 # most tier-B prefix entries over all primes (8 bytes each): two full prefixes
 PREFIX_ENTRY_CAP = 2 * (MODULAR_CAP + 1)
 _SWEEP_BOUND = 1 << 63
+_DIGIT_BOUND = 1 << 30  # a CPython int below it is one 30-bit digit
 # The default of VerifyConfig.index_cap and `fibval verify --index-cap`, and a
 # verify report's exit codes: a mismatch, else an uncovered branch.  The CLI's
 # parser and main() read them too, so they live here, which every command
@@ -213,9 +219,13 @@ _sums_lock = threading.Lock()
 
 
 def _sweep_modulus(p: int) -> int:
-    """p^E for the largest E >= 1 with p^E < 2^63 (p itself if p >= 2^63)."""
+    """p^E for the largest E with p^E < 2^30 if that E is >= 2, else with p^E < 2^63.
+
+    E is at least 1: p itself for p >= 2^63.
+    """
+    bound = _DIGIT_BOUND if p * p < _DIGIT_BOUND else _SWEEP_BOUND
     modulus = p
-    while modulus * p < _SWEEP_BOUND:
+    while modulus * p < bound:
         modulus *= p
     return modulus
 
@@ -230,13 +240,19 @@ def _extend_prefix(p: int, sums: array, j: int) -> None:
     a, b = fib_mod(start - 1, modulus), fib_mod(start, modulus)
     total = sums[-1]
     append = sums.append
+    lowest_bit = p == 2
     try:
         for i in range(start, j + 1):
             a, b = b, a + b
             if b >= modulus:
                 b -= modulus
-            if a % p == 0:
-                total += _nu_int(p, a) if a else _index_valuation(p, i)
+            if not a % p:
+                if not a:
+                    total += _index_valuation(p, i)
+                elif lowest_bit:
+                    total += (a & -a).bit_length() - 1
+                else:
+                    total += _nu_int(p, a)
             append(total)
         if a != fib_mod(j, modulus) or b != fib_mod(j + 1, modulus):
             raise FormulaIntegrityError(

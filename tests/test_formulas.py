@@ -35,6 +35,7 @@ from fibval.rank import Mod5Class, rank_of_apparition
 from fibval.verify import VerifyConfig
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def oracle(p, m, k):
@@ -229,17 +230,42 @@ def test_delta_table_mutation_trips_integrity_check(monkeypatch):
         nu2_central(2, 3)
 
 
-# The general formula at (5, 12, 3) takes the binomial nu_5(12!) - nu_5(3!) -
-# nu_5(9!), at (7, 20, 9) the binomial of (20 // 8, 9 // 8) = (2, 1), and at
-# (2, 12, 6) the branch r>=s with A = nu_2(2!) - nu_2(1!) - nu_2(1!); a
-# negative nu_p(n!) at the n given makes each value negative, which must
-# raise rather than read _VALUATIONS[-1].
-@pytest.mark.parametrize("p, m, k, n", [(5, 12, 3, 12), (7, 20, 9, 2), (2, 12, 6, 2)],
-                         ids=["5-12-3", "7-20-9", "2-12-6"])
-def test_negative_general_value_trips_integrity_check(p, m, k, n, monkeypatch):
-    monkeypatch.setattr(formulas, "_nu_factorial_int", lambda q, x: -1 if x == n else 0)
+# The general formula at (5, 12, 3) returns the bare binomial term of (12, 3),
+# at (7, 20, 9) that of (20 // 8, 9 // 8) = (2, 1), and at (2, 12, 6) the
+# branch r>=s with A = nu_2(2!) - nu_2(1!) - nu_2(1!).  A binomial term of -1,
+# or a negative nu_2(2!), makes each value negative, which must raise rather
+# than read _VALUATIONS[-1].
+@pytest.mark.parametrize("p, m, k, name, fake", [
+    (5, 12, 3, "_binom_val", lambda q, mp, kp: -1),
+    (7, 20, 9, "_binom_val", lambda q, mp, kp: -1),
+    (2, 12, 6, "_nu_factorial_int", lambda q, x: -1 if x == 2 else 0),
+], ids=["5-12-3", "7-20-9", "2-12-6"])
+def test_negative_general_value_trips_integrity_check(p, m, k, name, fake, monkeypatch):
+    monkeypatch.setattr(formulas, name, fake)
     with pytest.raises(FormulaIntegrityError, match="negative valuation"):
         nu_fibonomial_formula(p, m, k)
+
+
+def legendre_binom(p, mp, kp):
+    return _nu_factorial_int(p, mp) - _nu_factorial_int(p, kp) - _nu_factorial_int(p, mp - kp)
+
+
+# The bit lengths are drawn first and then values of those lengths: from a
+# wide bound alone, Hypothesis draws most integers far below it.
+@given(st.sampled_from(SMALL_PRIMES + (2**61 - 1,)), st.integers(min_value=0, max_value=63),
+       st.data())
+def test_binom_val_counts_what_legendre_counts(p, bits, data):
+    mp = data.draw(st.integers(min_value=(1 << bits) >> 1, max_value=(1 << bits) - 1))
+    kbits = data.draw(st.integers(min_value=0, max_value=bits))
+    kp = data.draw(st.integers(min_value=(1 << kbits) >> 1, max_value=min((1 << kbits) - 1, mp)))
+    assert formulas._binom_val(p, mp, kp) == legendre_binom(p, mp, kp)
+
+
+@pytest.mark.parametrize("p", [2, 3])  # the popcount and the digit walk
+@pytest.mark.parametrize("mp, kp", [(5, -1), (5, 6), (0, 1)])
+def test_binom_val_rejects_kp_outside_0_to_mp(p, mp, kp):
+    with pytest.raises(FormulaIntegrityError, match="0 <= kp <= mp"):
+        formulas._binom_val(p, mp, kp)
 
 
 # One cell per prime class whose branch returns the bare binomial term, so a

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from array import array
 from math import prod
@@ -391,12 +392,40 @@ def running_sums(p: int, top: int) -> list[int]:
     return sums
 
 
-def test_sweep_modulus_is_the_largest_power_below_2_63():
-    assert oracle._sweep_modulus(2) == 2**62
-    assert oracle._sweep_modulus(3) == 3**39
-    assert 3**40 > 2**63
+def test_sweep_modulus_is_the_largest_power_below_2_30_or_else_2_63():
+    assert oracle._sweep_modulus(2) == 2**29
+    assert oracle._sweep_modulus(3) == 3**18
+    assert 3**19 > 2**30
+    assert oracle._sweep_modulus(31) == 31**6
+    assert 31**7 > 2**30
+    # 32771^2 > 2^30, so the power is the largest below 2^63
+    assert oracle._sweep_modulus(32771) == 32771**4
+    assert 32771**2 > 2**30 and 32771**5 > 2**63
     assert oracle._sweep_modulus(F_83) == F_83
     assert oracle._sweep_modulus(2**64 - 59) == 2**64 - 59
+
+
+def test_sweep_falls_back_where_the_modulus_divides_f_i(cold_prefixes, monkeypatch):
+    # 1597 = F_17, so z = 17 and nu_p(F_17) = 1, and M = 1597^2 divides F_i
+    # exactly at the multiples of 17 * 1597 = 27149
+    p = 1597
+    assert oracle._sweep_modulus(p) == p**2
+    expected = running_sums(p, 60000)
+    fallbacks = []
+    real = oracle._index_valuation
+    monkeypatch.setattr(oracle, "_index_valuation", lambda p, i: fallbacks.append(i) or real(p, i))
+    assert list(oracle._valuation_prefix(p, 60000)) == expected
+    assert fallbacks == [27149, 54298]
+
+
+@pytest.mark.parametrize("p, z", [(2, 3), (3, 4), (31, 30)])
+def test_deep_prefix_steps_match_index_valuation(cold_prefixes, p, z):
+    # half the indices are multiples of z(p), the only ones with nu_p(F_j) > 0
+    top = 10**6
+    sums = oracle._valuation_prefix(p, top)
+    rng = random.Random(p)
+    js = [rng.randint(1, top) for _ in range(150)] + [z * rng.randint(1, top // z) for _ in range(150)]
+    assert [sums[j] - sums[j - 1] for j in js] == [oracle._index_valuation(p, j) for j in js]
 
 
 @pytest.mark.parametrize("p", SWEEP_PRIMES)
