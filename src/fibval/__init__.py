@@ -35,7 +35,7 @@ from .formulas import (
     nu_ratio_prime_powers,
     nup_central,
 )
-from .oracle import OracleTier, fibonomial_exact, nu_fibonomial_oracle
+from .oracle import OracleTier, nu_fibonomial_oracle
 from .rank import Mod5Class, RankRecord, rank_of_apparition
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "divides_p_central",
     "fib",
     "fib_mod",
-    "fibonomial_exact",
     "is_odd_2n",
     "is_odd_4n",
     "is_odd_8n",

@@ -2,9 +2,9 @@
 
 Two deliberately naive, mutually independent routes:
 
-* tier A ("exact"): the Fibonomial coefficient as a product of Fibonacci
-  primitive parts.  F_n is the product of P_d over the divisors d of n, so
-  C(m, k)_F = F_(m-k+1)...F_m / (F_1...F_k) is the product of P_d over its
+* tier A ("exact"): nu_p summed over Fibonacci primitive parts.  F_n is
+  the product of P_d over the divisors d of n, so C(m, k)_F =
+  F_(m-k+1)...F_m / (F_1...F_k) is the product of P_d over its
   carry set, the d <= m with e_d = floor(m/d) - floor(k/d) -
   floor((m-k)/d) = 1, that is with k mod d > m mod d; e_d is always 0 or 1
   (Knuth and Wilf, "The power of a prime that divides a generalized
@@ -17,10 +17,8 @@ Two deliberately naive, mutually independent routes:
   n, by a division checked by its remainder.  A build rejects a stepped
   factor below 1 before it sieves, and ends by comparing the stepped pair
   with ``fib``; any failure raises FormulaIntegrityError and leaves the
-  table as it was.  ``fibonomial_exact`` multiplies the carry set's parts,
-  runs of 32 one at a time and then the run products as a balanced tree,
-  so that its large multiplications pair operands of like size; the oracle
-  sums nu_p over the parts that p divides, by one rule for each part (at
+  table as it was.  The oracle never multiplies the parts: it sums nu_p
+  over the carry set's parts that p divides, by one rule for each part (at
   p = 2, the lowest set bit of each even part).  So tier A keeps state: a
   build runs to at least twice the table's length, within the call's index
   cap, so the table never holds more than EXACT_CAP_MAX + 1 entries (about
@@ -64,7 +62,6 @@ from __future__ import annotations
 import threading
 from array import array
 from enum import Enum
-from math import prod
 
 from .arith import (
     _VALUATION_BOUND,
@@ -80,8 +77,8 @@ from .arith import (
 )
 
 EXACT_CAP_DEFAULT = 400
-# highest tier-A cap: at m = 2000, k = 1000 an oracle call or fibonomial_exact takes
-# under a tenth of a second
+# highest tier-A cap: the table of parts to P_2000 holds about 176 KiB, and a
+# cold build to it takes under a tenth of a second
 EXACT_CAP_MAX = 2000
 MODULAR_CAP = 10**7
 # most tier-B prefix entries over all primes (8 bytes each): two full prefixes
@@ -95,7 +92,6 @@ _DIGIT_BOUND = 1 << 30  # a CPython int below it is one 30-bit digit
 INDEX_CAP_DEFAULT = 10**5
 EXIT_MISMATCH = 1
 EXIT_COVERAGE = 4
-_RUN = 32  # tier-A parts multiplied one at a time before the runs are paired
 
 
 class OracleTier(Enum):
@@ -107,20 +103,6 @@ class OracleTier(Enum):
 # about ten times a module-global read, and every oracle call compares its tier.
 _EXACT = OracleTier.EXACT
 _MODULAR = OracleTier.MODULAR
-
-
-def _product(xs: list[int], lo: int, hi: int) -> int:
-    """xs[lo] * ... * xs[hi - 1] (hi > lo) as a balanced tree of products."""
-    if hi - lo == 1:
-        return xs[lo]
-    mid = (lo + hi) // 2
-    return _product(xs, lo, mid) * _product(xs, mid, hi)
-
-
-def _run_product(xs: list[int]) -> int:
-    """The product of xs: runs of _RUN factors one at a time, then the runs as a tree."""
-    runs = [prod(xs[start:start + _RUN]) for start in range(0, len(xs), _RUN)]
-    return _product(runs, 0, len(runs)) if runs else 1
 
 
 def _nu_factors(p: int, xs: list[int]) -> int:
@@ -177,9 +159,9 @@ def _carry_parts(m: int, k: int, cap: int | None) -> list[int]:
 
     The rule runs for d <= m/2 only: above m/2, m mod d = m - d, so the
     carry set there is the d > max(k, m - k), one slice of the table.
-    Checks ``cap`` and the indices (see ``fibonomial_exact``).  A table
-    that stops short of m is grown to at least twice its length, within
-    ``cap``.
+    ``cap``, the index cap, is EXACT_CAP_DEFAULT if not given and must lie
+    between 1 and EXACT_CAP_MAX; then 0 <= k <= m <= cap.  A table that
+    stops short of m is grown to at least twice its length, within ``cap``.
     """
     if cap is None:
         cap = EXACT_CAP_DEFAULT
@@ -196,19 +178,6 @@ def _carry_parts(m: int, k: int, cap: int | None) -> list[int]:
         parts = _grow_parts(max(m, min(2 * len(parts), cap)))
     return ([parts[d] for d in range(1, m // 2 + 1) if k % d > m % d]
             + parts[max(k, m - k) + 1:m + 1])
-
-
-def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
-    """The Fibonomial coefficient as an exact integer: the product of its carry set's parts.
-
-    The product multiplies runs of _RUN parts one at a time, then the run
-    products as a balanced tree: multiplying a growing product by one
-    factor at a time costs time quadratic in its size, while a tree
-    multiplies operands of like size, which Karatsuba speeds up.  ``cap``,
-    the index cap, is EXACT_CAP_DEFAULT if not given and must lie between
-    1 and EXACT_CAP_MAX.
-    """
-    return _run_product(_carry_parts(m, k, cap))
 
 
 # Per-prime prefix sums of nu_p(F_i):  _val_sums[p][j] = sum_{i<=j} nu_p(F_i).
@@ -283,7 +252,7 @@ def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.M
                          cap: int | None = None) -> Valuation:
     """Ground-truth nu_p of a Fibonomial coefficient via the chosen tier.
 
-    ``cap`` is tier A's index cap (see ``fibonomial_exact``), EXACT_CAP_DEFAULT
+    ``cap`` is tier A's index cap (see ``_carry_parts``), EXACT_CAP_DEFAULT
     if not given; the modular tier is capped at MODULAR_CAP and rejects any
     ``cap`` given.
     """

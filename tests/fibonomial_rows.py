@@ -1,10 +1,15 @@
-"""Whole rows of Fibonomial coefficients, for the tests that read tier A by rows.
+"""Whole Fibonomial coefficients, for the tests that pin tier A by its values.
 
-Imports only ``fibval.arith``, so the rows stay independent of the closed
-forms and of both oracle tiers they are compared with.
+``fibonomial_row`` reads only ``fibval.arith``, so its rows stay
+independent of the closed forms and of both oracle tiers they are compared
+with.  ``fibonomial_exact`` multiplies the parts tier A reads, so it pins
+the carry set behind every tier-A valuation.
 """
 
+from math import prod
+
 from fibval.arith import FormulaIntegrityError, fib
+from fibval.oracle import _carry_parts
 
 
 def fibonomial_row(m: int) -> list[int]:
@@ -14,7 +19,7 @@ def fibonomial_row(m: int) -> list[int]:
     F_(m-1), ... step down from fast doubling at m, the divisors F_1, F_2,
     ... step up from F_0, and every division is asserted exact: one
     multiplication and one division a cell, where ``fibonomial_exact``
-    multiplies min(k, m - k) factors for each cell afresh.
+    multiplies a whole carry set for each cell afresh.
     """
     row = [1]
     top, top_next = fib(m), fib(m + 1)  # F_(m-k+1) and F_(m-k+2) at step k
@@ -27,3 +32,18 @@ def fibonomial_row(m: int) -> list[int]:
         row.append(q)
         top, top_next = top_next - top, top
     return row
+
+
+def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
+    """C(m, k)_F as an exact integer: the product of tier A's carry-set parts.
+
+    ``cap`` and the index checks are tier A's own.  Runs of 32 parts are
+    multiplied one at a time, then the run products pairwise as a balanced
+    tree, so that the large multiplications pair operands of like size,
+    which Karatsuba speeds up.
+    """
+    parts = _carry_parts(m, k, cap)
+    xs = [prod(parts[i:i + 32]) for i in range(0, len(parts), 32)]
+    while len(xs) > 1:
+        xs = [prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return prod(xs)

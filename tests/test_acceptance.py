@@ -4,12 +4,14 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the PASS lines as
 they complete; the slow grids share the module-scoped report below.
 """
 
+import random
 import time
 
 import pytest
 
 import fibval.formulas as formulas
-from fibval.arith import _nu_int
+from fibval import oracle
+from fibval.arith import _nu_int, fib, is_prime
 from fibval.formulas import (
     all_qualified_labels,
     divides_p_central,
@@ -19,11 +21,11 @@ from fibval.formulas import (
     nu5_central,
     nu_fibonomial_formula,
 )
-from fibval.oracle import OracleTier, fibonomial_exact, nu_fibonomial_oracle
+from fibval.oracle import OracleTier, nu_fibonomial_oracle
 from fibval.rank import rank_of_apparition
-from fibval.verify import VerifyConfig, run_verify
+from fibval.verify import VerifyConfig, _general_rows, run_verify
 
-from fibonomial_rows import fibonomial_row
+from fibonomial_rows import fibonomial_exact, fibonomial_row
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 EXACT_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -31,6 +33,22 @@ PM2_PRIMES = (3, 7, 13, 17, 23)
 PM1_PRIMES = (11, 19, 29, 31)
 INDEX_LIMIT = 10**5
 MILLION = 10**6
+# primes of small rank of apparition z, as (p, z): p | F_z, so p | F_i at every
+# multiple of z on the tier-B prefix
+SMALL_RANK_PRIMES = (
+    # +-1 (mod 5)
+    (230_686_501, 75),
+    (370_248_451, 82),
+    (3_415_914_041, 85),
+    (14_736_206_161, 65),
+    (1_665_088_321_800_481, 89),
+    # +-2 (mod 5): F_43, F_47 and F_83 themselves
+    (433_494_437, 43),
+    (2_971_215_073, 47),
+    (2_710_260_697, 59),
+    (46_165_371_073, 71),
+    (99_194_853_094_755_497, 83),
+)
 
 
 def record(num: int, description: str, ok: bool) -> None:
@@ -195,3 +213,28 @@ def test_criterion_10_3n_not_divisible_membership():
     expected = [n for n in range(1, MILLION + 1) if _is_3n_exception(n)]
     record(10, f"3 does not divide (3n, n) at exactly the {len(expected)} n = 1 or 2*3^j "
                "up to 1e6", found == expected)
+
+
+def test_criterion_11_large_primes_of_small_rank():
+    # above about 2^31.5 the tier-B sweep modulus is p itself, so every multiple
+    # of z takes the _index_valuation fallback; a closed form checks it here
+    config = VerifyConfig(primes=tuple(p for p, _ in SMALL_RANK_PRIMES), a_max=1, n_max=1,
+                          index_cap=INDEX_LIMIT)
+    rng = random.Random(11)
+    checked = nonzero = mismatches = 0
+    for p, z in SMALL_RANK_PRIMES:
+        assert is_prime(p) and fib(z) % p == 0 and rank_of_apparition(p).z == z, p
+        cells = [(m, k) for m, ks in _general_rows(config, p) for k in ks]
+        for _ in range(1000):
+            m = rng.randint(1, INDEX_LIMIT)
+            cells.append((m, rng.randint(0, m)))
+        for m, k in cells:
+            ora = nu_fibonomial_oracle(p, m, k).value
+            checked += 1
+            nonzero += ora > 0
+            mismatches += nu_fibonomial_formula(p, m, k)[0].value != ora
+    fallback = sum(oracle._sweep_modulus(p) == p for p, _ in SMALL_RANK_PRIMES)
+    record(11, f"general formula matches the modular oracle on {checked} cells "
+               f"({nonzero} nonzero) at {len(SMALL_RANK_PRIMES)} primes of small rank, "
+               f"{fallback} of them on the index-valuation fallback",
+           mismatches == 0 and fallback == 5 and checked == 117_331)

@@ -17,7 +17,7 @@ import fibval.formulas as formulas
 from fibval import cli, oracle, rank, verify
 from fibval.arith import _index_valuation, fib_mod
 from fibval.cli import N_MAX_CAP, _parse_argv, _parsers, _read_argv, console_main, main
-from fibval.oracle import fibonomial_exact
+from fibval.oracle import OracleTier, nu_fibonomial_oracle
 from fibval.verify import SWEEP_CELL_CAP
 
 
@@ -148,7 +148,7 @@ def test_an_exported_fibval_exact_cap_changes_nothing(capsys, monkeypatch):
     assert code == 0
     assert out.startswith("nu (oracle/modular) = ")
     with pytest.raises(ValueError):
-        fibonomial_exact(401, 3)
+        nu_fibonomial_oracle(3, 401, 3, OracleTier.EXACT)
 
 
 def test_eval_oracle_beyond_the_modular_cap_is_a_fast_usage_error(capsys, monkeypatch):

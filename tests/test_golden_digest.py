@@ -31,8 +31,10 @@ import fibval.formulas as formulas
 import fibval.verify as verify
 from fibval.arith import _nu_int
 from fibval.formulas import nu_central, nu_fibonomial_formula, nu_ratio_prime_powers
-from fibval.oracle import OracleTier, fibonomial_exact, nu_fibonomial_oracle
+from fibval.oracle import OracleTier, nu_fibonomial_oracle
 from fibval.verify import VerifyConfig, run_verify
+
+from fibonomial_rows import fibonomial_exact
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 CONFIG = VerifyConfig(GRID_PRIMES, a_max=4, n_max=10**4, index_cap=10**4)

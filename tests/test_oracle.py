@@ -15,12 +15,11 @@ from fibval.oracle import (
     EXACT_CAP_MAX,
     MODULAR_CAP,
     OracleTier,
-    fibonomial_exact,
     nu_fibonomial_oracle,
 )
 
 import fibonomial_rows
-from fibonomial_rows import fibonomial_row
+from fibonomial_rows import fibonomial_exact, fibonomial_row
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -116,13 +115,16 @@ def peak_and_kept_bytes(fn):
 
 def test_exact_peak_memory_stays_small(cold_prefixes):
     # a build steps every F_n into one list and sieves it in place: about 270 KiB
-    # at its peak to EXACT_CAP_MAX, and the table it keeps holds about 176 KiB
+    # at its peak to EXACT_CAP_MAX, and the table it keeps holds about 176 KiB;
+    # a query on it then holds only lists of its carry set's 824 parts, about
+    # 13 KiB at their peak, never their product
     _, peak, kept = peak_and_kept_bytes(lambda: oracle._grow_parts(EXACT_CAP_MAX))
     assert peak < 384 * 2**10, peak
     assert kept < 192 * 2**10, kept
-    value, peak, _ = peak_and_kept_bytes(lambda: fibonomial_exact(1200, 600, cap=1200))
-    assert peak < 2 * 2**20, peak
-    assert value == fibonomial_by_definition(1200, 600)
+    value, peak, _ = peak_and_kept_bytes(
+        lambda: nu_fibonomial_oracle(2, 1200, 600, OracleTier.EXACT, cap=1200))
+    assert peak < 16 * 2**10, peak
+    assert value.value == _nu_int(2, fibonomial_by_definition(1200, 600))
 
 
 def patch_a_seed(monkeypatch, index, seed):

@@ -22,3 +22,11 @@ def test_an_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         fibval.no_such_name
     assert not hasattr(fibval, "Mismatch")  # verify's other names are not re-exported
+
+
+def test_the_coefficient_builder_is_not_library_api():
+    # fibval returns valuations; whole coefficients are built by a test helper
+    assert len(fibval.__all__) == 28
+    assert "fibonomial_exact" not in fibval.__all__
+    assert not hasattr(fibval, "fibonomial_exact")
+    assert not hasattr(fibval.oracle, "fibonomial_exact")
