@@ -65,11 +65,11 @@ from .formulas import (
     nu_fibonomial_formula,
 )
 from .oracle import (
-    EXACT_CAP_DEFAULT,
     EXIT_MISMATCH,
     INDEX_CAP_DEFAULT,
     OracleTier,
     nu_fibonomial_oracle,
+    reach,
 )
 
 if TYPE_CHECKING:
@@ -115,7 +115,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             val, trace = nu_fibonomial_formula(args.p, args.m, args.k)
         formula_value = val.value
     if use_oracle:
-        tier = OracleTier.EXACT if m_index <= EXACT_CAP_DEFAULT else OracleTier.MODULAR
+        tier = OracleTier.EXACT if m_index <= reach(OracleTier.EXACT) else OracleTier.MODULAR
         oracle_value = nu_fibonomial_oracle(args.p, m_index, k_index, tier).value
 
     if use_formula:

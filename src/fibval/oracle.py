@@ -22,9 +22,9 @@ Two deliberately naive, mutually independent routes:
   p = 2, the lowest set bit of each even part).  So tier A keeps state: a
   build runs to at least twice the table's length, within the call's index
   cap, so the table never holds more than EXACT_CAP_MAX + 1 entries (about
-  176 KiB), and ``clear_caches`` drops it.  The index cap, the ``cap``
-  argument alone (EXACT_CAP_DEFAULT if not given, at most EXACT_CAP_MAX),
-  bounds the time a call takes;
+  176 KiB), and ``clear_caches`` drops it.  The index cap bounds the time
+  a call takes: ``reach`` alone checks it and the tier, for the oracle,
+  ``verify`` and ``eval``;
 * tier B ("modular"): sum per-index Fibonacci valuations nu_p(F_i) over a
   per-prime prefix, built by one forward recurrence sweep.
 
@@ -154,30 +154,19 @@ def _grow_parts(top: int) -> list[int]:
     return table
 
 
-def _carry_parts(m: int, k: int, cap: int | None) -> list[int]:
-    """The parts P_d of C(m, k)_F: those of the d <= m with k mod d > m mod d.
+def _carry_parts(m: int, k: int, top: int) -> list[int]:
+    """The parts P_d of C(m, k)_F, 0 <= k <= m <= top: the d <= m with k mod d > m mod d.
 
     The rule runs for d <= m/2 only: above m/2, m mod d = m - d, so the
-    carry set there is the d > max(k, m - k), one slice of the table.
-    ``cap``, the index cap, is EXACT_CAP_DEFAULT if not given and must lie
-    between 1 and EXACT_CAP_MAX; then 0 <= k <= m <= cap.  A table that
-    stops short of m is grown to at least twice its length, within ``cap``.
+    carry set there is the d > max(k, m - k), one slice of the table.  A
+    table short of m grows to at least twice its length, within the reach top.
     """
-    if cap is None:
-        cap = EXACT_CAP_DEFAULT
-    elif cap < 1:
-        raise ValueError(f"exact tier cap must be >= 1, got {show_int(cap)}")
-    elif cap > EXACT_CAP_MAX:
-        raise ValueError(f"exact tier cap must be <= {EXACT_CAP_MAX}, got {show_int(cap)}")
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
-    if m > cap:
-        raise ValueError(f"exact tier capped at m <= {cap}, got m={show_int(m)}")
     parts = _parts
     if len(parts) <= m:
-        parts = _grow_parts(max(m, min(2 * len(parts), cap)))
-    return ([parts[d] for d in range(1, m // 2 + 1) if k % d > m % d]
-            + parts[max(k, m - k) + 1:m + 1])
+        parts = _grow_parts(max(m, min(2 * len(parts), top)))
+    carry = [parts[d] for d in range(1, m // 2 + 1) if k % d > m % d]
+    carry += parts[max(k, m - k) + 1:m + 1]
+    return carry
 
 
 # Per-prime prefix sums of nu_p(F_i):  _val_sums[p][j] = sum_{i<=j} nu_p(F_i).
@@ -248,29 +237,40 @@ def _valuation_prefix(p: int, j: int) -> array:
     return sums
 
 
+def reach(tier: OracleTier, cap: int | None = None) -> int:
+    """The largest m the tier answers, and the one check of a tier and a cap:
+    MODULAR_CAP for tier B, which takes no cap; for tier A, ``cap``,
+    EXACT_CAP_DEFAULT if not given, between 1 and EXACT_CAP_MAX."""
+    if tier is _MODULAR:
+        if cap is not None:
+            raise ValueError(f"the modular tier takes no cap (it is capped at m <= {MODULAR_CAP}), "
+                             f"got cap={show_int(cap)}")
+        return MODULAR_CAP
+    if tier is not _EXACT:
+        raise ValueError(f"tier must be an OracleTier, got {tier!r}")
+    if cap is None:
+        return EXACT_CAP_DEFAULT
+    if cap < 1:
+        raise ValueError(f"exact tier cap must be >= 1, got {show_int(cap)}")
+    if cap > EXACT_CAP_MAX:
+        raise ValueError(f"exact tier cap must be <= {EXACT_CAP_MAX}, got {show_int(cap)}")
+    return cap
+
+
 def nu_fibonomial_oracle(p: int, m: int, k: int, tier: OracleTier = OracleTier.MODULAR,
                          cap: int | None = None) -> Valuation:
-    """Ground-truth nu_p of a Fibonomial coefficient via the chosen tier.
-
-    ``cap`` is tier A's index cap (see ``_carry_parts``), EXACT_CAP_DEFAULT
-    if not given; the modular tier is capped at MODULAR_CAP and rejects any
-    ``cap`` given.
-    """
+    """Ground-truth nu_p of a Fibonomial coefficient via the chosen tier, to reach(tier, cap)."""
     sums = _val_sums.get(p)
     if tier is _EXACT or sums is None:
         require_prime(p)
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got m={show_int(m)}, k={show_int(k)}")
+    top = reach(tier, cap)
+    if m > top:
+        raise ValueError(f"{tier.value} tier capped at m <= {top}, got m={show_int(m)}")
     if tier is _EXACT:
-        total = _nu_factors(p, _carry_parts(m, k, cap))
-    elif tier is not _MODULAR:
-        raise ValueError(f"tier must be an OracleTier, got {tier!r}")
+        total = _nu_factors(p, _carry_parts(m, k, top))
     else:
-        if cap is not None:
-            raise ValueError(f"the modular tier takes no cap (it is capped at m <= {MODULAR_CAP}), "
-                             f"got cap={show_int(cap)}")
-        if m > MODULAR_CAP:
-            raise ValueError(f"modular tier capped at m <= {MODULAR_CAP}, got m={show_int(m)}")
         if sums is None or len(sums) <= m:
             sums = _valuation_prefix(p, m)
         total = sums[m] - sums[m - k] - sums[k]

@@ -40,13 +40,12 @@ from .formulas import (
 )
 from .oracle import (
     _MODULAR,
-    EXACT_CAP_DEFAULT,
     EXIT_COVERAGE,
     EXIT_MISMATCH,
     INDEX_CAP_DEFAULT,
-    MODULAR_CAP,
     OracleTier,
     nu_fibonomial_oracle,
+    reach,
 )
 from .rank import _PLUS_MINUS_1, rank_of_apparition
 
@@ -164,17 +163,20 @@ def expected_labels(config: VerifyConfig) -> tuple[str, ...]:
 def run_verify(config: VerifyConfig) -> VerifyReport:
     sweeps = [rows(config, p) for p in config.primes
               for rows in (_general_rows, _ratio_rows)]  # reads z(p): rejects every non-prime
-    central_top = max((p**a * config.n_limit(p, a)
-                       for p in config.primes for a in config.exponents(p)), default=0)
-    cap = EXACT_CAP_DEFAULT if config.tier is OracleTier.EXACT else MODULAR_CAP
+    # each prime's (p^a*n, a) from its top index down, so that its first query builds its prefix
+    tops = {p: sorted(((p**a * config.n_limit(p, a), a) for a in config.exponents(p)), reverse=True)
+            for p in sorted(config.primes)}
+    central_top = max((pa_tops[0][0] for pa_tops in tops.values() if pa_tops), default=0)
+    cap = reach(config.tier)
     if central_top > cap:
         raise ValueError(f"{config.tier.value}-tier grid reaches index {central_top} "
                          f"beyond the cap {cap}; shrink the grid")
+    cap = reach(_MODULAR)
     sweep_cells = 0  # all rows but one per exponent pair have a cell: the walk stays short
     for m, ks, *_ in itertools.chain.from_iterable(sweeps):
-        if m > MODULAR_CAP:
+        if m > cap:
             raise ValueError(f"the sweeps reach index {m} beyond the modular-tier cap "
-                             f"{MODULAR_CAP}; lower the index cap")
+                             f"{cap}; lower the index cap")
         sweep_cells += len(ks)
         if sweep_cells > SWEEP_CELL_CAP:
             raise ValueError(f"the sweeps ask for more than the cap {SWEEP_CELL_CAP} cells; "
@@ -200,10 +202,8 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
         if value != ora:
             mismatches.append(Mismatch(p, a, n, value, ora, branch, m, k, check))
 
-    for p in sorted(config.primes):
-        # from the prime's top index down, so that its first query builds its whole prefix
-        tops = sorted(((p**a * config.n_limit(p, a), a) for a in config.exponents(p)), reverse=True)
-        for top, a in tops:
+    for p, pa_tops in tops.items():
+        for top, a in pa_tops:
             pa = p**a
             for n in range(top // pa, 0, -1):
                 cells += 1

@@ -9,7 +9,7 @@ the carry set behind every tier-A valuation.
 from math import prod
 
 from fibval.arith import FormulaIntegrityError, fib
-from fibval.oracle import _carry_parts
+from fibval.oracle import OracleTier, _carry_parts, reach
 
 
 def fibonomial_row(m: int) -> list[int]:
@@ -37,12 +37,18 @@ def fibonomial_row(m: int) -> list[int]:
 def fibonomial_exact(m: int, k: int, cap: int | None = None) -> int:
     """C(m, k)_F as an exact integer: the product of tier A's carry-set parts.
 
-    ``cap`` and the index checks are tier A's own.  Runs of 32 parts are
-    multiplied one at a time, then the run products pairwise as a balanced
-    tree, so that the large multiplications pair operands of like size,
-    which Karatsuba speeds up.
+    ``cap`` is read by tier A's own rule, ``reach``, and the index checks
+    raise tier A's messages.  Runs of 32 parts are multiplied one at a
+    time, then the run products pairwise as a balanced tree, so that the
+    large multiplications pair operands of like size, which Karatsuba
+    speeds up.
     """
-    parts = _carry_parts(m, k, cap)
+    top = reach(OracleTier.EXACT, cap)
+    if not 0 <= k <= m:
+        raise ValueError(f"need 0 <= k <= m, got m={m}, k={k}")
+    if m > top:
+        raise ValueError(f"exact tier capped at m <= {top}, got m={m}")
+    parts = _carry_parts(m, k, top)
     xs = [prod(parts[i:i + 32]) for i in range(0, len(parts), 32)]
     while len(xs) > 1:
         xs = [prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]

@@ -151,6 +151,21 @@ def test_an_exported_fibval_exact_cap_changes_nothing(capsys, monkeypatch):
         nu_fibonomial_oracle(3, 401, 3, OracleTier.EXACT)
 
 
+def test_one_binding_of_the_exact_cap_moves_every_reader(capsys, monkeypatch):
+    # eval's tier choice, verify's pre-flight and the oracle all read tier A's
+    # default cap through oracle.reach, so lowering its one binding moves all three
+    monkeypatch.setattr(oracle, "EXACT_CAP_DEFAULT", 100)
+    code, out, _ = run(capsys, "eval", "--p", "3", "--m", "150", "--k", "3", "--method", "oracle")
+    assert code == 0
+    assert out.startswith("nu (oracle/modular) = ")
+    code, out, err = run(capsys, "verify", "--p-set", "3", "--a-max", "1", "--n-max", "50",
+                         "--tier", "exact")
+    assert (code, out) == (2, "")
+    assert "exact-tier grid reaches index 150 beyond the cap 100" in err
+    with pytest.raises(ValueError, match="exact tier capped at m <= 100, got m=150"):
+        nu_fibonomial_oracle(3, 150, 3, OracleTier.EXACT)
+
+
 def test_eval_oracle_beyond_the_modular_cap_is_a_fast_usage_error(capsys, monkeypatch):
     refuse_calls(monkeypatch, oracle, "_extend_prefix")
     start = time.perf_counter()

@@ -116,14 +116,14 @@ def peak_and_kept_bytes(fn):
 def test_exact_peak_memory_stays_small(cold_prefixes):
     # a build steps every F_n into one list and sieves it in place: about 270 KiB
     # at its peak to EXACT_CAP_MAX, and the table it keeps holds about 176 KiB;
-    # a query on it then holds only lists of its carry set's 824 parts, about
-    # 13 KiB at their peak, never their product
+    # a query on it then holds only the list of its carry set's 824 parts, about
+    # 11 KiB at its peak, never their product
     _, peak, kept = peak_and_kept_bytes(lambda: oracle._grow_parts(EXACT_CAP_MAX))
     assert peak < 384 * 2**10, peak
     assert kept < 192 * 2**10, kept
     value, peak, _ = peak_and_kept_bytes(
         lambda: nu_fibonomial_oracle(2, 1200, 600, OracleTier.EXACT, cap=1200))
-    assert peak < 16 * 2**10, peak
+    assert peak < 13 * 2**10, peak
     assert value.value == _nu_int(2, fibonomial_by_definition(1200, 600))
 
 
@@ -224,7 +224,7 @@ def test_exact_oracle_is_0_at_k_0_and_k_m(p):
 
 def test_exact_oracle_peak_memory_stays_under_the_quotient(cold_prefixes):
     # counted: with the table built, a query holds only the list of its carry
-    # set's parts, about 7 KiB at its peak here; C(1200, 600)_F alone is about 31 KiB
+    # set's parts, about 11 KiB at its peak here; C(1200, 600)_F alone is about 31 KiB
     oracle._grow_parts(1200)
     value, peak, _ = peak_and_kept_bytes(
         lambda: nu_fibonomial_oracle(3, 1200, 600, OracleTier.EXACT, cap=1200))

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import fibval.formulas as formulas
+import fibval.oracle as oracle
 import fibval.verify as verify
 from fibval.formulas import all_qualified_labels
 from fibval.oracle import OracleTier
@@ -202,7 +203,6 @@ def test_concurrent_evaluation_is_consistent():
     # populated rank/oracle caches from many threads at once
     from concurrent.futures import ThreadPoolExecutor
 
-    import fibval.oracle as oracle
     import fibval.rank as rank
     from fibval.formulas import nu_central
     from fibval.oracle import nu_fibonomial_oracle
@@ -291,9 +291,9 @@ def test_sweep_preflight_bounds_are_exact(monkeypatch):
     with pytest.raises(ValueError, match="cap 1211"):
         run_verify(config)
     monkeypatch.undo()
-    monkeypatch.setattr(verify, "MODULAR_CAP", 1_452)
+    monkeypatch.setattr(oracle, "MODULAR_CAP", 1_452)
     assert run_verify(config).cells_checked == 1_252
-    monkeypatch.setattr(verify, "MODULAR_CAP", 1_451)
+    monkeypatch.setattr(oracle, "MODULAR_CAP", 1_451)
     with pytest.raises(ValueError, match="modular-tier cap 1451"):
         run_verify(config)
 
@@ -302,8 +302,6 @@ def test_each_prime_builds_its_prefix_in_one_sweep(monkeypatch):
     # the benchmark's verify_grid shape: each prime's first query is at its top
     # index, so the central cells and both sweeps read one prefix per prime,
     # built once and to that index; the oracle runs once per checked cell
-    import fibval.oracle as oracle
-
     config = VerifyConfig(primes=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), a_max=4,
                           n_max=5_000, index_cap=5_000)
     builds = []
