@@ -171,12 +171,12 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
     if central_top > cap:
         raise ValueError(f"{config.tier.value}-tier grid reaches index {central_top} "
                          f"beyond the cap {cap}; shrink the grid")
-    cap = reach(_MODULAR)
+    modular_cap = reach(_MODULAR)
     sweep_cells = 0  # all rows but one per exponent pair have a cell: the walk stays short
     for m, ks, *_ in itertools.chain.from_iterable(sweeps):
-        if m > cap:
+        if m > modular_cap:
             raise ValueError(f"the sweeps reach index {m} beyond the modular-tier cap "
-                             f"{cap}; lower the index cap")
+                             f"{modular_cap}; lower the index cap")
         sweep_cells += len(ks)
         if sweep_cells > SWEEP_CELL_CAP:
             raise ValueError(f"the sweeps ask for more than the cap {SWEEP_CELL_CAP} cells; "
