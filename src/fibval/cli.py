@@ -301,10 +301,9 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values, func=func)
 
 
-# parse_args leaves a parser as it was, so one tree serves every call.  The
-# second item maps each command name to its subparser.
+# parse_args leaves a parser as it was, so one tree serves every call.
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parser() -> argparse.ArgumentParser:
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -321,14 +320,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
             else:
                 command.add_argument(option, **flag._asdict())
         command.set_defaults(func=func)
-    return parser, dict(sub.choices)
+    return parser
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
-    """_parsers()[0].parse_args(argv), run only for an argv the reader turns
+    """_parser().parse_args(argv), run only for an argv the reader turns
     down; what the reader takes lacks the command attribute, which nothing reads."""
     args = _read_argv(argv)
-    return _parsers()[0].parse_args(argv) if args is None else args
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

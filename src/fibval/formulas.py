@@ -51,15 +51,14 @@ from .arith import (
     _VALUATIONS,
     FormulaIntegrityError,
     Valuation,
-    _nu_factorial_int,
+    _nu2_factorial,
     _nu_int,
     digit_sum,
     show_int,
 )
 from .rank import _PLUS_MINUS_1, _PLUS_MINUS_2, rank_of_apparition
 
-# Residues and floors use a fixed-width fast path; larger indices would
-# need new caps on the oracle side anyway.
+# arith._EXPONENT_CAP bounds nu_p(F_i) only for indices below 2^63.
 INDEX_CAP = 1 << 63
 _new = tuple.__new__  # builds every BranchTrace (see the module docstring)
 
@@ -222,9 +221,7 @@ def nu_fibonomial_formula(p: int, m: int, k: int) -> tuple[Valuation, BranchTrac
     if p == 2:
         theorem, modulus = _T2ADIC_GENERAL, 6
         r, s = m % 6, k % 6
-        A = (_nu_factorial_int(2, m // 6)
-             - _nu_factorial_int(2, k // 6)
-             - _nu_factorial_int(2, (m - k) // 6))
+        A = _nu2_factorial(m // 6) - _nu2_factorial(k // 6) - _nu2_factorial((m - k) // 6)
         if (r, s) in _EXC_GE:
             bump, label = 1, "r>=s exceptional"
         elif (r, s) in _EXC_LT:
@@ -592,15 +589,13 @@ def divides_p_central(p: int, a: int, n: int) -> tuple[bool, DivReason]:
     index = check_index(p, a, n)
     if p == 5:
         return True, _P_EQUALS_5
-    if p == 2:
-        if n % 3 == 0:
-            return True, _Z_DIVIDES_N
-        if nu2_central(a, n)[0].value > 0:
-            return True, _FORMULA_POSITIVE
-        return False, _FORMULA_ZERO
     z = rec.z
     if n % z == 0:
         return True, _Z_DIVIDES_N
+    if p == 2:
+        if nu2_central(a, n)[0].value > 0:
+            return True, _FORMULA_POSITIVE
+        return False, _FORMULA_ZERO
     if rec.mod5 is _PLUS_MINUS_2:
         b = _nu_int(p, n)
         A = (index - n) // (p**b * z)

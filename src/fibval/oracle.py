@@ -221,19 +221,18 @@ def _extend_prefix(p: int, sums: array, j: int) -> None:
 
 
 def _valuation_prefix(p: int, j: int) -> array:
-    sums = _val_sums.get(p)
-    if sums is None or len(sums) <= j:
-        with _sums_lock:
-            sums = _val_sums.pop(p, None)
-            if sums is None:
-                sums = array("q", [0])
-            _val_sums[p] = sums  # last in build order
-            start = len(sums)
-            if start <= j:
-                # at least doubling keeps the seed and the end check to O(log j) builds
-                _extend_prefix(p, sums, max(j, min(2 * start, MODULAR_CAP)))
-                while len(_val_sums) > 1 and sum(map(len, _val_sums.values())) > PREFIX_ENTRY_CAP:
-                    del _val_sums[next(iter(_val_sums))]  # the oldest built, never p
+    """p's prefix, built to at least j; the caller has found it short without the lock."""
+    with _sums_lock:
+        sums = _val_sums.pop(p, None)
+        if sums is None:
+            sums = array("q", [0])
+        _val_sums[p] = sums  # last in build order
+        start = len(sums)
+        if start <= j:
+            # at least doubling keeps the seed and the end check to O(log j) builds
+            _extend_prefix(p, sums, max(j, min(2 * start, MODULAR_CAP)))
+            while len(_val_sums) > 1 and sum(map(len, _val_sums.values())) > PREFIX_ENTRY_CAP:
+                del _val_sums[next(iter(_val_sums))]  # the oldest built, never p
     return sums
 
 

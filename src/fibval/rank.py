@@ -8,7 +8,9 @@ rho on the cofactor) plus O(log N) fib_mod calls per prime factor, which
 bounds it for every prime below 2^64.
 
 Records are cached per prime because the formula layer queries the same
-handful of primes millions of times during a grid run.  A record exists only
+handful of primes millions of times during a grid run.  The cache keeps at
+most _CACHE_BOUND records (about 160 B each) and drops the oldest first; a
+dropped prime is checked and built again on its next use.  A record exists only
 for a prime: a cache miss runs ``require_prime`` first, so the record is the
 formula layer's proof that p is prime, and p's class mod 5 is read from it
 without a second primality test.  The record stores that class as a field,
@@ -60,12 +62,13 @@ class RankRecord(NamedTuple):
     mod5: Mod5Class
 
 
-_cache: dict[int, RankRecord] = {}
+_CACHE_BOUND = 1 << 16
+_cache: dict[int, RankRecord] = {}  # in insertion order, the oldest first
 _cache_lock = threading.Lock()
 
 
 def rank_of_apparition(p: int) -> RankRecord:
-    """RankRecord for a prime p, computed on first use and cached.
+    """RankRecord for a prime p, computed on first use and cached (at most _CACHE_BOUND records).
 
     A miss checks that p is prime (ValueError otherwise, or for p >= 2^64);
     a hit is a dict lookup.
@@ -86,6 +89,8 @@ def rank_of_apparition(p: int) -> RankRecord:
         mod5, z = _PLUS_MINUS_2, _descend_rank(p, p + 1)
     rec = RankRecord(p, z, _index_valuation(p, z), mod5)
     with _cache_lock:
+        if len(_cache) >= _CACHE_BOUND:
+            del _cache[next(iter(_cache))]
         _cache.setdefault(p, rec)
     return rec
 

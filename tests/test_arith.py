@@ -8,7 +8,7 @@ from fibval import arith
 from fibval.arith import (
     FormulaIntegrityError,
     _index_valuation,
-    _nu_factorial_int,
+    _nu2_factorial,
     _nu_int,
     digit_sum,
     fib,
@@ -147,45 +147,40 @@ def test_digit_sum_rebuild(q, n):
 
 
 def test_nu_factorial_examples():
-    assert _nu_factorial_int(2, 10) == 8
-    assert _nu_factorial_int(5, 25) == 6
-    assert _nu_factorial_int(3, 1) == 0
+    assert _nu2_factorial(10) == 8
+    assert _nu2_factorial(1) == 0
+    assert _nu2_factorial(0) == 0
 
 
 def test_nu_factorial_both_forms_up_to_1e5():
+    # the digit-sum form that the central closed forms use, at every small prime
     for p in SMALL_PRIMES:
         for n in range(0, 10**5 + 1, 1):
             expected = legendre_sum(p, n)
             assert (n - digit_sum(p, n)) // (p - 1) == expected
-            assert _nu_factorial_int(p, n) == expected
+            if p == 2:
+                assert _nu2_factorial(n) == expected
 
 
-@given(st.sampled_from(SMALL_PRIMES), st.integers(min_value=0, max_value=2**63))
-def test_nu_factorial_matches_legendre_sum(p, n):
-    assert _nu_factorial_int(p, n) == legendre_sum(p, n)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_nu_factorial_matches_legendre_sum(n):
+    assert _nu2_factorial(n) == legendre_sum(2, n)
 
 
 def test_nu_factorial_matches_legendre_sum_at_every_bit_length():
     # Hypothesis draws most integers below 2^20 even with a 2^63 bound, so
-    # large n are sampled here: 20 per bit length, p^k - 1 (every digit p - 1)
+    # large n are sampled here: 20 per bit length, 2^k - 1 (every bit set)
     # and the top index 2^63
     rng = random.Random(63)
-    for p in SMALL_PRIMES:
-        ns = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in range(1, 64) for _ in range(20)]
-        pk = p
-        while pk <= 2**63:
-            ns.append(pk - 1)
-            pk *= p
-        ns.append(2**63)
-        for n in ns:
-            assert _nu_factorial_int(p, n) == legendre_sum(p, n), (p, n)
+    ns = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in range(1, 64) for _ in range(20)]
+    ns += [2**k - 1 for k in range(1, 64)] + [2**63]
+    for n in ns:
+        assert _nu2_factorial(n) == legendre_sum(2, n), n
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_nu_factorial_rejects_negative_n(p):
-    # a negative n would never end the digit loop
+def test_nu_factorial_rejects_negative_n():
     with pytest.raises(FormulaIntegrityError, match="n >= 0"):
-        _nu_factorial_int(p, -1)
+        _nu2_factorial(-1)
 
 
 def test_is_prime_spot_checks():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fibval.formulas as formulas
 from fibval import cli, oracle, rank, verify
 from fibval.arith import _index_valuation, fib_mod
-from fibval.cli import N_MAX_CAP, _parse_argv, _parsers, _read_argv, console_main, main
+from fibval.cli import N_MAX_CAP, _parse_argv, _parser, _read_argv, console_main, main
 from fibval.oracle import OracleTier, nu_fibonomial_oracle
 from fibval.verify import SWEEP_CELL_CAP
 
@@ -601,7 +601,7 @@ def test_no_command_is_usage_error(capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
-    assert _parsers()[0] is _parsers()[0]
+    assert _parser() is _parser()
     explain = ("eval", "--p", "2", "--m", "6", "--k", "2")
     assert run(capsys, *explain, "--explain") == (0, GOLDEN_EXPLAIN[explain[1:]], "")
     assert run(capsys, *explain) == (0, "nu (formula) = 3\n", "")
@@ -620,7 +620,7 @@ def test_a_known_command_skips_the_top_level_parser(capsys, monkeypatch):
     def refuse():
         raise AssertionError("the argparse parser was built")
 
-    monkeypatch.setattr(cli, "_parsers", refuse)
+    monkeypatch.setattr(cli, "_parser", refuse)
     assert run(capsys, "scan", "--p", "2", "--a", "2", "--n-max", "20",
                "--predicate", "odd_fibonomial") == (0, "1\n2\n4\n8\n16\n", "")
     assert run(capsys, "table", "--p", "5", "--a", "1", "--n-max", "1") == (
@@ -862,13 +862,13 @@ def parse_outcome(parse, argv):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(EDGE_ARGVS) | argvs())
 def test_parse_matches_the_top_level_parse(argv):
-    assert parse_outcome(_parse_argv, argv) == parse_outcome(_parsers()[0].parse_args, argv), argv
+    assert parse_outcome(_parse_argv, argv) == parse_outcome(_parser().parse_args, argv), argv
 
 
 @pytest.mark.parametrize("argv", EDGE_ARGVS)
 def test_each_edge_parses_as_the_top_level_parse(argv):
     # every edge, each run: a draw of 300 from the test above may miss one
-    assert parse_outcome(_parse_argv, argv) == parse_outcome(_parsers()[0].parse_args, argv)
+    assert parse_outcome(_parse_argv, argv) == parse_outcome(_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -881,7 +881,7 @@ def test_each_edge_parses_as_the_top_level_parse(argv):
 ])
 def test_a_repeated_flag_keeps_its_last_value_as_in_argparse(argv):
     # the reader takes these itself; argparse's last-one-wins is the reference
-    expected = vars(_parsers()[0].parse_args(argv))
+    expected = vars(_parser().parse_args(argv))
     del expected["command"]
     assert vars(_read_argv(argv)) == expected
 

@@ -11,7 +11,7 @@ import fibval.formulas as formulas
 import fibval.oracle as oracle_module
 import fibval.verify as verify
 from fibval import rank
-from fibval.arith import _VALUATIONS, FormulaIntegrityError, Valuation, _nu_factorial_int
+from fibval.arith import _VALUATIONS, FormulaIntegrityError, Valuation
 from fibval.formulas import (
     BOUNDARY_LABEL,
     INDEX_CAP,
@@ -40,6 +40,15 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 def oracle(p, m, k):
     return nu_fibonomial_oracle(p, m, k, OracleTier.MODULAR).value
+
+
+def legendre(p, n):
+    # nu_p(n!) as the sum of n // p^i (Legendre), independent of the digit sums
+    total, q = 0, p
+    while q <= n:
+        total += n // q
+        q *= p
+    return total
 
 
 # --- general (m, k) ---------------------------------------------------------
@@ -184,7 +193,7 @@ def test_nu2_central_legendre_cross_form():
             val, trace = nu2_central(a, n)
             coeff = a // 2 if a % 2 == 0 else (a - 1) // 2
             factorial_form = (trace.delta + trace.A - coeff * trace.epsilon
-                              - _nu_factorial_int(2, trace.A))
+                              - legendre(2, trace.A))
             assert val.value == factorial_form, (a, n)
 
 
@@ -238,7 +247,7 @@ def test_delta_table_mutation_trips_integrity_check(monkeypatch):
 @pytest.mark.parametrize("p, m, k, name, fake", [
     (5, 12, 3, "_binom_val", lambda q, mp, kp: -1),
     (7, 20, 9, "_binom_val", lambda q, mp, kp: -1),
-    (2, 12, 6, "_nu_factorial_int", lambda q, x: -1 if x == 2 else 0),
+    (2, 12, 6, "_nu2_factorial", lambda x: -1 if x == 2 else 0),
 ], ids=["5-12-3", "7-20-9", "2-12-6"])
 def test_negative_general_value_trips_integrity_check(p, m, k, name, fake, monkeypatch):
     monkeypatch.setattr(formulas, name, fake)
@@ -247,7 +256,7 @@ def test_negative_general_value_trips_integrity_check(p, m, k, name, fake, monke
 
 
 def legendre_binom(p, mp, kp):
-    return _nu_factorial_int(p, mp) - _nu_factorial_int(p, kp) - _nu_factorial_int(p, mp - kp)
+    return legendre(p, mp) - legendre(p, kp) - legendre(p, mp - kp)
 
 
 # The bit lengths are drawn first and then values of those lengths: from a
@@ -292,19 +301,11 @@ def test_nu5_central_examples():
 
 
 def test_nu5_central_always_positive_and_matches_binomial():
-    def legendre(n):
-        total, q = 0, 5
-        while q <= n:
-            total += n // q
-            q *= 5
-        return total
-
     for a in range(1, 4):
         for n in range(1, 500):
             value = nu5_central(a, n)[0].value
             assert value >= 1
-            big, small = 5**a * n, n
-            assert value == legendre(big) - legendre(small) - legendre(big - small), (a, n)
+            assert value == legendre_binom(5, 5**a * n, n), (a, n)
 
 
 # --- central odd p ----------------------------------------------------------
@@ -348,7 +349,7 @@ def test_nup_central_legendre_cross_form():
             for n in range(1, 200):
                 val, trace = nup_central(p, a, n)
                 A, s, b = trace.A, trace.s, trace.b
-                nuA = _nu_factorial_int(p, A)
+                nuA = legendre(p, A)
                 if p % 5 in (1, 4):
                     ell = n // p**b
                     expected = Fraction(A, p - 1) - a * Fraction(ell % z, z) - nuA
@@ -436,8 +437,10 @@ def test_divides_agrees_with_valuation_sign():
     for p in (2, 3, 7, 11, 13, 19):
         for a in (1, 2, 3):
             for n in range(1, 150):
-                divisible = divides_p_central(p, a, n)[0]
+                divisible, reason = divides_p_central(p, a, n)
                 assert divisible == (nu_central(p, a, n)[0].value > 0), (p, a, n)
+                if p == 2:  # z(2) = 3
+                    assert (reason is DivReason.Z_DIVIDES_N) == (n % 3 == 0), (a, n)
 
 
 @settings(max_examples=200, deadline=None)

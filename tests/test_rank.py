@@ -2,7 +2,9 @@ import copy
 import math
 import pickle
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -165,3 +167,37 @@ def test_prime_factors_random_below_2_64():
             while rest % q == 0:
                 rest //= q
         assert rest == 1, n
+
+
+def test_cache_keeps_at_most_its_bound_and_drops_the_oldest(monkeypatch):
+    rank.clear_cache()
+    monkeypatch.setattr(rank, "_CACHE_BOUND", 4)
+    primes = sieve(30)
+    records = [rank_of_apparition(p) for p in primes]
+    assert list(rank._cache) == primes[-4:]
+    assert rank_of_apparition(2) == records[0]  # dropped, so built again
+    assert list(rank._cache) == primes[-3:] + [2]
+    kept = dict(rank._cache)
+    rank.clear_cache()
+    assert kept == {p: rank_of_apparition(p) for p in kept}
+    rank.clear_cache()
+
+
+def test_bounded_cache_under_threads(monkeypatch):
+    # the bound check, the eviction and the insertion share _cache_lock, so
+    # no interleaving of misses leaves more than the bound
+    primes = sieve(100)
+    expected = [rank_of_apparition(p) for p in primes] * 8
+    rank.clear_cache()
+    monkeypatch.setattr(rank, "_CACHE_BOUND", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(rank_of_apparition, p) for p in primes * 8]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert len(rank._cache) <= 4
+    rank.clear_cache()
