@@ -105,10 +105,10 @@ def fib_mod(m: int, modulus: int) -> int:
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {show_int(modulus)}")
     a, b = 0, 1
-    for i in range(m.bit_length() - 1, -1, -1):
+    for bit in bin(m)[2:]:  # m's bits from the top; a string walk beats shifting m
         c = a * (2 * b - a) % modulus
         d = (a * a + b * b) % modulus
-        if (m >> i) & 1:
+        if bit == "1":
             a, b = d, (c + d) % modulus
         else:
             a, b = c, d
@@ -131,11 +131,20 @@ _EXPONENT_CAP = 64
 
 
 def _index_valuation(p: int, i: int) -> int:
-    """nu_p(F_i) for i >= 1 by escalating prime-power residue tests."""
-    if fib_mod(i, p) != 0:
-        return 0
-    e = 1
-    modulus = p * p
+    """nu_p(F_i) for i >= 1 by escalating prime-power residue tests.
+
+    One fast doubling mod p^2 decides every nu <= 1: r = F_i mod p^2 gives 0
+    when p does not divide r and 1 when r is a nonzero multiple of p.  Only
+    p^2 | F_i goes on, from p^3, so nu >= 2 costs nu doublings.  Both callers
+    (the rank record's nu_p(F_z) and tier B's zero-residue fallback) ask
+    only about an index with p | F_i, so a doubling mod p would tell them
+    nothing.
+    """
+    r = fib_mod(i, p * p)
+    if r:
+        return 0 if r % p else 1
+    e = 2
+    modulus = p * p * p
     while fib_mod(i, modulus) == 0:
         e += 1
         if e >= _EXPONENT_CAP:

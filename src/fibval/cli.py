@@ -30,10 +30,13 @@ to the argparse parser built from the same table, which gives the same
 namespace, message and exit code as always.  argparse is imported and the
 parser built only then, once per process.
 
-table writes its rows one at a time as they are computed, so its memory
-does not grow with --n-max: a JSON row is one f-string in the layout of
-json.dumps(rows, indent=2), its branch label's JSON text computed once per
-label, and CSV rows go through one csv.writer.
+table reads its rows from ``formulas.nu_central_rows``, which runs the
+prime and index gates once, when it is called, so a bad --p fails before
+the first write and no row passes the gates again.  It writes the rows one
+at a time as they are computed, so its memory does not grow with --n-max.
+A row is one f-string, in the layout of json.dumps(rows, indent=2) or of
+one csv.writer pass, its branch label's JSON or CSV text computed once per
+label.
 
 The verify module (and with it ``dataclasses`` and ``inspect``) loads with
 its command, inside cmd_verify: the parser and main() read its default and
@@ -44,11 +47,10 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
+import io
 import json
 import os
 import sys
-from collections.abc import Iterator
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -62,6 +64,7 @@ from .formulas import (
     divides_p_central,
     nu2_central,
     nu_central,
+    nu_central_rows,
     nu_fibonomial_formula,
 )
 from .oracle import (
@@ -187,34 +190,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _table_rows(p: int, a: int, n_max: int) -> Iterator[tuple[int, int, int, int, str]]:
-    for n in range(1, n_max + 1):
-        val, trace = nu_central(p, a, n)
-        yield p, a, n, val.value, trace.branch_label
-
-
-# a branch label's JSON text; labels are the closed set in formulas.BRANCH_REACH
+# a branch label's JSON and CSV texts; labels are the closed set in formulas.BRANCH_REACH
 _json_label = functools.cache(json.dumps)
+
+
+@functools.cache
+def _csv_label(label: str) -> str:
+    """label as csv.writer writes it as a field of a row, quoted only where the writer quotes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", label])
+    return buf.getvalue()[1:-1]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     """Write the rows as they are computed, in the bytes of one
     json.dumps(rows, indent=2) or one csv.writer pass over all rows."""
     _check_range(args)
-    rows = _table_rows(args.p, args.a, args.n_max)
-    rows = itertools.chain([next(rows)], rows)  # a bad prime fails here, before any output
+    p, a = args.p, args.a
+    rows = enumerate(nu_central_rows(p, a, args.n_max), 1)  # gates run here, before any output
     if args.format == "json":
         write = sys.stdout.write
         sep = "[\n"
-        for p, a, n, nu, branch in rows:  # one row of the dump, keyed p, a, n, nu, branch
-            write(f'{sep}  {{\n    "p": {p},\n    "a": {a},\n    "n": {n},\n    "nu": {nu},'
-                  f'\n    "branch": {_json_label(branch)}\n  }}')
+        for n, (val, trace) in rows:  # one row of the dump, keyed p, a, n, nu, branch
+            write(f'{sep}  {{\n    "p": {p},\n    "a": {a},\n    "n": {n},\n    "nu": {val.value},'
+                  f'\n    "branch": {_json_label(trace.branch_label)}\n  }}')
             sep = ",\n"
         write("\n]\n")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["p", "a", "n", "nu", "branch"])
-        writer.writerows(rows)
+        write = sys.stdout.write
+        write("p,a,n,nu,branch\n")
+        for n, (val, trace) in rows:  # the ints need no quoting; the label's text is cached
+            write(f"{p},{a},{n},{val.value},{_csv_label(trace.branch_label)}\n")
     return EXIT_OK
 
 

@@ -19,7 +19,10 @@ gate is ``rank_of_apparition(p)``: its record exists only for a prime, and
 it carries everything the formulas read about p: z(p), nu_p(F_z(p)) and
 p's class mod 5, which the record stores as a field set once per prime.
 The index gate is ``check_index``, which bounds p^a*n by bit lengths
-before it builds p**a and returns the index for reuse.
+before it builds p**a and returns the index for reuse.  Each central form
+is its gates and then a row body (``_nu2_row``, ``_nu5_row``, ``_nup_row``)
+that trusts its index; ``nu_central_rows`` runs the gates once for a whole
+table, at its last row, and then only the row bodies.
 
 Every ``Theorem`` and ``DivReason`` member, and the ``Mod5Class`` members
 from ``rank``, is bound once at import under a private module name
@@ -43,6 +46,7 @@ declared order.  A slip in that order would go unnoticed by the type, so
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from typing import NamedTuple
 
@@ -56,7 +60,7 @@ from .arith import (
     digit_sum,
     show_int,
 )
-from .rank import _PLUS_MINUS_1, _PLUS_MINUS_2, rank_of_apparition
+from .rank import _PLUS_MINUS_1, _PLUS_MINUS_2, RankRecord, rank_of_apparition
 
 # arith._EXPONENT_CAP bounds nu_p(F_i) only for indices below 2^63.
 INDEX_CAP = 1 << 63
@@ -395,7 +399,11 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     eps = [3 does not divide n], c = a/2 or (a-1)/2 by parity of a, and
     delta looked up from the case tables above.
     """
-    index = check_index(2, a, n)
+    return _nu2_row(a, n, check_index(2, a, n))
+
+
+def _nu2_row(a: int, n: int, index: int) -> tuple[Valuation, BranchTrace]:
+    """nu2_central's body at index = 2^a*n, which the caller has checked."""
     b = (n & -n).bit_length() - 1
     res6 = n % 6
     eps = 1 if n % 3 else 0
@@ -430,7 +438,12 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
 
 def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     """nu_5 of the (5^a*n, n) Fibonomial: s_5((5^a-1)*n) / 4, always >= 1."""
-    A = check_index(5, a, n) - n
+    return _nu5_row(a, n, check_index(5, a, n))
+
+
+def _nu5_row(a: int, n: int, index: int) -> tuple[Valuation, BranchTrace]:
+    """nu5_central's body at index = 5^a*n, which the caller has checked."""
+    A = index - n
     ssum = digit_sum(5, A)
     if ssum % 4:
         raise FormulaIntegrityError(f"s_5((5^a-1)n) = {ssum} not divisible by 4 at (a={a}, n={n})")
@@ -452,7 +465,13 @@ def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
     if p in (2, 5):
         raise ValueError("use nu2_central / nu5_central for p = 2, 5")
     rec = rank_of_apparition(p)
-    index = check_index(p, a, n)
+    return _nup_row(p, a, n, check_index(p, a, n), rec)
+
+
+def _nup_row(p: int, a: int, n: int, index: int, rec: RankRecord
+             ) -> tuple[Valuation, BranchTrace]:
+    """nup_central's body at index = p^a*n, which the caller has checked,
+    with rec = rank_of_apparition(p) for a prime p not in {2, 5}."""
     z, nu_fz = rec.z, rec.nu_fz
     b = _nu_int(p, n)
     ell = n // p**b
@@ -512,6 +531,25 @@ def nu_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
     if p == 5:
         return nu5_central(a, n)
     return nup_central(p, a, n)
+
+
+def nu_central_rows(p: int, a: int, n_max: int) -> Iterator[tuple[Valuation, BranchTrace]]:
+    """nu_central(p, a, n) for n = 1..n_max, in order, with the gates run once.
+
+    The prime gate and then check_index(p, a, n_max) run when this is called,
+    so a bad p, a or n_max raises the ValueError of nu_central(p, a, n_max)
+    before any row is asked for.  Every row's index p^a*n is then at most the
+    checked p^a*n_max, and the generator returned runs the row bodies that
+    nu2_central, nu5_central and nup_central run after their own gates.
+    """
+    rec = None if p in (2, 5) else rank_of_apparition(p)
+    pa = check_index(p, a, n_max) // n_max
+    ns = range(1, n_max + 1)
+    if p == 2:
+        return (_nu2_row(a, n, pa * n) for n in ns)
+    if p == 5:
+        return (_nu5_row(a, n, pa * n) for n in ns)
+    return (_nup_row(p, a, n, pa * n, rec) for n in ns)
 
 
 # ---------------------------------------------------------------------------

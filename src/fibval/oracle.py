@@ -39,7 +39,8 @@ r = F_i mod M gives the valuation exactly whenever r != 0:
 nu_p(F_i) = nu_p(r), since nu_p(r) < E; at p = 2 that is the lowest set
 bit of r, the rule tier A uses.  Only r = 0 (p^E | F_i; at p = 2 first at
 i = 3*2^27, past MODULAR_CAP) falls back to ``arith._index_valuation``, which
-tests F_i against increasing prime powers with fast doubling, up to a hard
+reads F_i mod p^2 by one fast doubling, enough whenever nu_p(F_i) <= 1,
+and only when p^2 | F_i tests F_i against p^3, p^4, ... up to a hard
 exponent cap; that search lives in ``arith`` because the rank layer reads
 nu_p(F_z(p)) from it too.  When a build ends at index j, the stepped pair
 is compared with F_j and F_{j+1} mod M by fast doubling; a difference

@@ -3,9 +3,9 @@
 z(p) divides N = p - (5/p), that is p + 1 for p = +-2 (mod 5), p - 1 for
 p = +-1 (mod 5) and 5 for p = 5, and p | F_i exactly when z(p) | i.  So z(p)
 is found by descending from N through its prime factors, as for a
-multiplicative order: the cost is factoring N (trial division, then Pollard
-rho on the cofactor) plus O(log N) fib_mod calls per prime factor, which
-bounds it for every prime below 2^64.
+multiplicative order: the cost is factoring N (trial division by the 172
+primes below 2^10, then Pollard rho on the cofactor) plus O(log N) fib_mod
+calls per prime factor, which bounds it for every prime below 2^64.
 
 Records are cached per prime because the formula layer queries the same
 handful of primes millions of times during a grid run.  The cache keeps at
@@ -17,7 +17,9 @@ without a second primality test.  The record stores that class as a field,
 set once per prime, so a read is a field read rather than a residue test.
 This is the package's one test of p mod 5: ``verify`` reads the class from
 the record too.  nu_p(F_z) comes from ``arith._index_valuation``, the
-prime-power search that the tier-B oracle also runs.
+prime-power search that the tier-B oracle also runs: one fast doubling mod
+p^2 at z gives it whenever it is 1, and no prime below 2^64 is known
+where it is not (see ``arith._EXPONENT_CAP``).
 
 ``Mod5Class.PLUS_MINUS_1`` and ``Mod5Class.PLUS_MINUS_2`` are also bound at
 import under private module names (``_PLUS_MINUS_1``, ``_PLUS_MINUS_2``),
@@ -28,6 +30,7 @@ module-global read, and the formulas compare the class on every evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from enum import Enum
@@ -35,9 +38,22 @@ from typing import NamedTuple
 
 from .arith import FormulaIntegrityError, _index_valuation, fib_mod, is_prime, require_prime
 
-# Trial division runs over 2 and the odd numbers below this bound; what is
-# left then has no factor below it, so a cofactor under its square is prime.
+# Trial division runs over the primes below this bound; what is left then
+# has no factor below it, so a cofactor under its square is prime.
 _TRIAL_BOUND = 1 << 10
+
+
+def _primes_below(bound: int) -> tuple[int, ...]:
+    """The primes below bound, by a sieve of Eratosthenes over a bytearray."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, bound, q)))
+    return tuple(itertools.compress(range(bound), sieve))
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
 
 
 class Mod5Class(Enum):
@@ -106,15 +122,21 @@ def _descend_rank(p: int, z: int) -> int:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of 1 <= n < 2^64, in increasing order."""
+    """Distinct prime factors of 1 <= n < 2^64, in increasing order.
+
+    Trial division by the primes in _TRIAL_PRIMES stops once q^2 > n, when
+    what is left is 1 or prime; a cofactor left after every such prime that
+    is not prime goes to Pollard rho.
+    """
     factors = set()
-    q = 2
-    while q < _TRIAL_BOUND and q * q <= n:
+    for q in _TRIAL_PRIMES:
+        if q * q > n:
+            break
         if n % q == 0:
             factors.add(q)
+            n //= q
             while n % q == 0:
                 n //= q
-        q += 1 if q == 2 else 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

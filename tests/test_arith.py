@@ -110,6 +110,21 @@ def test_index_valuation_reaches_63_below_the_exponent_cap():
     assert _index_valuation(2, 3 * 2**60) == 62
 
 
+@pytest.mark.parametrize("p, i", [
+    (2, 1), (2, 3), (2, 6), (2, 24), (3, 4), (3, 12), (5, 25), (7, 8), (11, 9), (47, 16),
+])
+def test_index_valuation_doubles_once_unless_p_squared_divides(monkeypatch, fib_seq, p, i):
+    # nu <= 1 in one fast doubling mod p^2; nu >= 2 in nu doublings, mod p^2 .. p^(nu+1)
+    calls = []
+    monkeypatch.setattr(arith, "fib_mod",
+                        lambda m, modulus: calls.append(modulus) or fib_mod(m, modulus))
+    nu = _nu_int(p, fib_seq[i])
+    assert _index_valuation(p, i) == nu
+    assert calls == [p**e for e in range(2, max(nu, 1) + 2)]
+    if (p, i) == (2, 24):
+        assert (nu, len(calls)) == (5, 5)
+
+
 def test_index_valuation_stops_at_the_exponent_cap(monkeypatch):
     # nu_2(F_24) = nu_2(46368) = 5 runs past a cap of 3
     monkeypatch.setattr(arith, "_EXPONENT_CAP", 3)

@@ -465,6 +465,14 @@ def test_table_csv_is_one_writer_pass(capsys):
     assert out == expected.getvalue()
 
 
+@pytest.mark.parametrize("label", sorted({row[1] for row in formulas.BRANCH_REACH}
+                                          | {'a "quoted" label', "two\nlines", " lead", ""}))
+def test_csv_label_is_the_text_csv_writer_writes(label):
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerow([7, 1, 3, 0, label])
+    assert f"7,1,3,0,{cli._csv_label(label)}\n" == expected.getvalue()
+
+
 def test_table_streams_its_rows():
     # at 5000 rows, holding every row and then the whole string peaks near 6 MiB
     argv = ["table", "--p", "2", "--a", "1", "--format", "json", "--n-max"]

@@ -26,6 +26,7 @@ from fibval.formulas import (
     nu2_central,
     nu5_central,
     nu_central,
+    nu_central_rows,
     nu_fibonomial_formula,
     nu_ratio_prime_powers,
     nup_central,
@@ -376,6 +377,39 @@ def test_central_consistent_with_general_route():
                 central = nu_central(p, a, n)[0].value
                 general = nu_fibonomial_formula(p, p**a * n, n)[0].value
                 assert central == general, (p, a, n)
+
+
+@pytest.mark.parametrize("p, a, n_max", [
+    *[(2, a, 40) for a in range(1, 5)],
+    (5, 1, 30), (5, 2, 30),
+    (11, 1, 30), (11, 2, 30),  # +-1 mod 5, z = 10
+    (3, 1, 30), (3, 2, 30), (7, 1, 30), (7, 2, 30), (7, 3, 30),  # +-2 mod 5, z = 4 and 8
+])
+def test_nu_central_rows_equal_nu_central(p, a, n_max):
+    rows = list(nu_central_rows(p, a, n_max))
+    assert rows == [nu_central(p, a, n) for n in range(1, n_max + 1)]
+    assert all(type(trace) is BranchTrace for _, trace in rows)
+
+
+def test_nu_central_rows_fire_the_rows_at_rank():
+    labels = {trace.branch_label for p in (3, 7) for a in (1, 3)
+              for _, trace in nu_central_rows(p, a, 30)}
+    at_rank = {row[1] for row in formulas.BRANCH_REACH if row[4] == formulas.AT_RANK}
+    assert len(at_rank) == 3
+    assert at_rank <= labels
+
+
+@pytest.mark.parametrize("p, a, n_max", [
+    (1, 1, 5), (4, 1, 5), (91, 1, 5), (2**64, 1, 5),
+    (2, 0, 5), (3, 0, 5), (5, 0, 5),
+    (2, 63, 2), (3, 40, 1), (5, 28, 1), (7, 1, 2**62),  # index past 2^63
+])
+def test_nu_central_rows_gate_before_the_first_row(p, a, n_max):
+    with pytest.raises(ValueError) as expected:
+        nu_central(p, a, n_max)
+    with pytest.raises(ValueError) as raised:
+        nu_central_rows(p, a, n_max)  # not iterated
+    assert str(raised.value) == str(expected.value)
 
 
 # --- oddness predicates -----------------------------------------------------

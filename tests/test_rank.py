@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from fibval import rank
+from fibval import arith, rank
 from fibval.rank import Mod5Class, RankRecord, rank_of_apparition
 from fibval.arith import _nu_int, fib, fib_mod, is_prime
 
@@ -167,6 +167,43 @@ def test_prime_factors_random_below_2_64():
             while rest % q == 0:
                 rest //= q
         assert rest == 1, n
+
+
+def brute_prime_factors(n: int) -> list[int]:
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return factors + ([n] if n > 1 else [])
+
+
+# 1021 is the largest prime below the trial bound 2^10; 1031 and 1033 are
+# the first above it, left to the cofactor rule and Pollard rho
+@pytest.mark.parametrize("n", [1021**2, 2**10 * 1021, 1031**2, 1031 * 1033, 1, 2])
+def test_prime_factors_at_the_trial_bound(n):
+    assert rank._prime_factors(n) == brute_prime_factors(n)
+
+
+def test_trial_primes_are_the_primes_below_the_bound():
+    expected = [q for q in range(2, rank._TRIAL_BOUND)
+                if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    assert rank._TRIAL_PRIMES == tuple(expected)
+    assert (len(expected), expected[-1]) == (172, 1021)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11, 29, 1000003, 9223372036854775783])
+def test_cold_rank_reads_nu_fz_in_one_fast_doubling(monkeypatch, p):
+    calls = []
+    monkeypatch.setattr(arith, "fib_mod",
+                        lambda m, modulus: calls.append((m, modulus)) or fib_mod(m, modulus))
+    rank.clear_cache()
+    rec = rank_of_apparition(p)
+    assert rec.nu_fz == 1
+    assert calls == [(rec.z, p * p)]
 
 
 def test_cache_keeps_at_most_its_bound_and_drops_the_oldest(monkeypatch):
