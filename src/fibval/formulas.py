@@ -5,8 +5,9 @@ BranchTrace recording which case fired and every intermediate quantity:
 
 * ``nu_fibonomial_formula``   -- general (m, k), any prime;
 * ``nu_ratio_prime_powers``   -- (l1*p^b, l2*p^a) prime-power-ratio shape;
-* ``nu2_central`` / ``nu5_central`` / ``nup_central`` -- the central shape
-  (p^a*n, n), which is where the divisibility predicates live.
+* ``nu_central`` (or ``nu2_central`` / ``nu5_central`` / ``nup_central``
+  for one class of p) -- the central shape (p^a*n, n), which is where the
+  divisibility predicates live.
 
 All case dispatch is over exact integer residues.  Every quantity the
 formulas claim to be an integer is divided with an exactness check, and
@@ -19,10 +20,13 @@ gate is ``rank_of_apparition(p)``: its record exists only for a prime, and
 it carries everything the formulas read about p: z(p), nu_p(F_z(p)) and
 p's class mod 5, which the record stores as a field set once per prime.
 The index gate is ``check_index``, which bounds p^a*n by bit lengths
-before it builds p**a and returns the index for reuse.  Each central form
-is its gates and then a row body (``_nu2_row``, ``_nu5_row``, ``_nup_row``)
-that trusts its index; ``nu_central_rows`` runs the gates once for a whole
-table, at its last row, and then only the row bodies.
+before it builds p**a and returns the index for reuse.  Past its gates a
+central form runs the row body ``_CENTRAL_ROWS`` picks for p (``_nu2_row``,
+``_nu5_row`` or ``_nup_row``, each called as (p, a, n, index, rec)), which
+trusts its index; the bodies at p = 2 and 5 read no record, so those skip
+the prime gate.  ``nu_central_rows`` gates a whole table once, at its last
+row, and ``divides_p_central`` hands the body the index and record it has
+already checked.
 
 Every ``Theorem`` and ``DivReason`` member, and the ``Mod5Class`` members
 from ``rank``, is bound once at import under a private module name
@@ -399,10 +403,11 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     eps = [3 does not divide n], c = a/2 or (a-1)/2 by parity of a, and
     delta looked up from the case tables above.
     """
-    return _nu2_row(a, n, check_index(2, a, n))
+    return _nu2_row(2, a, n, check_index(2, a, n), None)
 
 
-def _nu2_row(a: int, n: int, index: int) -> tuple[Valuation, BranchTrace]:
+def _nu2_row(p: int, a: int, n: int, index: int, rec: RankRecord | None
+             ) -> tuple[Valuation, BranchTrace]:
     """nu2_central's body at index = 2^a*n, which the caller has checked."""
     b = (n & -n).bit_length() - 1
     res6 = n % 6
@@ -438,10 +443,11 @@ def _nu2_row(a: int, n: int, index: int) -> tuple[Valuation, BranchTrace]:
 
 def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     """nu_5 of the (5^a*n, n) Fibonomial: s_5((5^a-1)*n) / 4, always >= 1."""
-    return _nu5_row(a, n, check_index(5, a, n))
+    return _nu5_row(5, a, n, check_index(5, a, n), None)
 
 
-def _nu5_row(a: int, n: int, index: int) -> tuple[Valuation, BranchTrace]:
+def _nu5_row(p: int, a: int, n: int, index: int, rec: RankRecord | None
+             ) -> tuple[Valuation, BranchTrace]:
     """nu5_central's body at index = 5^a*n, which the caller has checked."""
     A = index - n
     ssum = digit_sum(5, A)
@@ -468,7 +474,7 @@ def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
     return _nup_row(p, a, n, check_index(p, a, n), rec)
 
 
-def _nup_row(p: int, a: int, n: int, index: int, rec: RankRecord
+def _nup_row(p: int, a: int, n: int, index: int, rec: RankRecord | None
              ) -> tuple[Valuation, BranchTrace]:
     """nup_central's body at index = p^a*n, which the caller has checked,
     with rec = rank_of_apparition(p) for a prime p not in {2, 5}."""
@@ -524,13 +530,14 @@ def _nup_row(p: int, a: int, n: int, index: int, rec: RankRecord
     return _VALUATIONS[value] if value < _VALUATION_BOUND else Valuation(value), trace
 
 
+# The central row body for each prime, read with .get(p, _nup_row).
+_CENTRAL_ROWS = {2: _nu2_row, 5: _nu5_row}
+
+
 def nu_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
-    """Central-shape dispatcher over p; the callee validates p, a and n."""
-    if p == 2:
-        return nu2_central(a, n)
-    if p == 5:
-        return nu5_central(a, n)
-    return nup_central(p, a, n)
+    """nu_p of the (p^a*n, n) Fibonomial: the gates p needs, then its row body."""
+    rec = None if p in (2, 5) else rank_of_apparition(p)
+    return _CENTRAL_ROWS.get(p, _nup_row)(p, a, n, check_index(p, a, n), rec)
 
 
 def nu_central_rows(p: int, a: int, n_max: int) -> Iterator[tuple[Valuation, BranchTrace]]:
@@ -539,17 +546,12 @@ def nu_central_rows(p: int, a: int, n_max: int) -> Iterator[tuple[Valuation, Bra
     The prime gate and then check_index(p, a, n_max) run when this is called,
     so a bad p, a or n_max raises the ValueError of nu_central(p, a, n_max)
     before any row is asked for.  Every row's index p^a*n is then at most the
-    checked p^a*n_max, and the generator returned runs the row bodies that
-    nu2_central, nu5_central and nup_central run after their own gates.
+    checked p^a*n_max, and the generator returned runs nu_central's row body.
     """
     rec = None if p in (2, 5) else rank_of_apparition(p)
     pa = check_index(p, a, n_max) // n_max
-    ns = range(1, n_max + 1)
-    if p == 2:
-        return (_nu2_row(a, n, pa * n) for n in ns)
-    if p == 5:
-        return (_nu5_row(a, n, pa * n) for n in ns)
-    return (_nup_row(p, a, n, pa * n, rec) for n in ns)
+    row = _CENTRAL_ROWS.get(p, _nup_row)
+    return (row(p, a, n, pa * n, rec) for n in range(1, n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +632,7 @@ def divides_p_central(p: int, a: int, n: int) -> tuple[bool, DivReason]:
     z = rec.z
     if n % z == 0:
         return True, _Z_DIVIDES_N
-    if p == 2:
-        if nu2_central(a, n)[0].value > 0:
-            return True, _FORMULA_POSITIVE
-        return False, _FORMULA_ZERO
-    if rec.mod5 is _PLUS_MINUS_2:
+    if p != 2 and rec.mod5 is _PLUS_MINUS_2:
         b = _nu_int(p, n)
         A = (index - n) // (p**b * z)
         if a % 2 == 0:
@@ -651,7 +649,7 @@ def divides_p_central(p: int, a: int, n: int) -> tuple[bool, DivReason]:
         if digit_sum(p, A) >= ((a + 1) // 2) * (p - 1):
             return True, _THRESHOLD_ODD_A
         return False, _FORMULA_ZERO
-    if a == 1:
+    if a == 1 and rec.mod5 is _PLUS_MINUS_1:
         den = p**_nu_int(p, n) * z
         num = n * (p - 1)
         if num % den:
@@ -659,8 +657,8 @@ def divides_p_central(p: int, a: int, n: int) -> tuple[bool, DivReason]:
         if digit_sum(p, num // den) >= p - 1:
             return True, _THRESHOLD_PM1
         return False, _FORMULA_ZERO
-    # p = +-1 (mod 5) with a >= 2: no criterion applies, compute the value
-    value = nup_central(p, a, n)[0].value
-    if value > 0:
+    # p = 2, or p = +-1 (mod 5) with a >= 2: no criterion applies, so the
+    # row body computes the value at the index and record checked above
+    if _CENTRAL_ROWS.get(p, _nup_row)(p, a, n, index, rec)[0].value > 0:
         return True, _FORMULA_POSITIVE
     return False, _FORMULA_ZERO

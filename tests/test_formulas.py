@@ -412,6 +412,35 @@ def test_nu_central_rows_gate_before_the_first_row(p, a, n_max):
     assert str(raised.value) == str(expected.value)
 
 
+def count_gates(monkeypatch):
+    """Wrap the prime gate and the index gate in counters; returns the counts."""
+    calls = {"check_index": 0, "rank_of_apparition": 0}
+    for name in calls:
+        gate = getattr(formulas, name)
+
+        def counted(*args, _gate=gate, _name=name):
+            calls[_name] += 1
+            return _gate(*args)
+        monkeypatch.setattr(formulas, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("call, checks, ranks", [
+    # the fallback to the full valuation at p = 2 and at p = +-1 (mod 5), a >= 2
+    pytest.param(lambda: divides_p_central(2, 1, 1), 1, 1, id="divides-p2"),
+    pytest.param(lambda: divides_p_central(11, 2, 1), 1, 1, id="divides-pm1-a2"),
+    # p = 2 and p = 5 need no rank record
+    pytest.param(lambda: nu_central(2, 3, 7), 1, 0, id="central-p2"),
+    pytest.param(lambda: nu_central(5, 2, 7), 1, 0, id="central-p5"),
+    # one of each for the whole table, not one per row
+    pytest.param(lambda: list(nu_central_rows(7, 2, 30)), 1, 1, id="rows-p7"),
+])
+def test_central_entries_run_each_gate_once(monkeypatch, call, checks, ranks):
+    calls = count_gates(monkeypatch)
+    call()
+    assert calls == {"check_index": checks, "rank_of_apparition": ranks}
+
+
 # --- oddness predicates -----------------------------------------------------
 
 def test_is_odd_2n_examples():

@@ -22,6 +22,11 @@ the benchmark's verify_grid workload (the primes up to 31, a <= 4, index
 5,000), with ``elapsed_seconds`` set to 0: once as it runs, once with a
 delta-table entry wrong (criterion 9's first mutation), so that the
 mismatch rows and their order are pinned too.
+
+A further digest covers ``divides_p_central``'s answer and ``DivReason`` at
+every central cell of the first grid, and at p in {41, 61, 67, 101, 9973}
+with a <= 2 and n <= 200, so that each reason, the fallback to the full
+valuation at p = +-1 (mod 5) with a >= 2 among them, stays pinned.
 """
 
 import hashlib
@@ -30,7 +35,12 @@ import json
 import fibval.formulas as formulas
 import fibval.verify as verify
 from fibval.arith import _nu_int
-from fibval.formulas import nu_central, nu_fibonomial_formula, nu_ratio_prime_powers
+from fibval.formulas import (
+    divides_p_central,
+    nu_central,
+    nu_fibonomial_formula,
+    nu_ratio_prime_powers,
+)
 from fibval.oracle import OracleTier, nu_fibonomial_oracle
 from fibval.verify import VerifyConfig, run_verify
 
@@ -50,6 +60,9 @@ TIER_A_ORACLE_DIGEST = "9aad8fa8b92ad4ef45421515a310a23d3e2f49c82e9d949f544c8f76
 VERIFY_GRID = VerifyConfig(GRID_PRIMES, a_max=4, n_max=5_000, index_cap=5_000)
 VERIFY_REPORT_DIGEST = "1662c8e3bc7735af99f4b5f6f6fc89a049fdf2826bab139d6e2976a31ee2c2c4"
 VERIFY_MUTANT_REPORT_DIGEST = "6bf374918f26e5be55f8920dba791468e7c7bf4f09553e8dc6f94ad48eacadb0"
+
+DIVIDES_EXTRA_PRIMES = (41, 61, 67, 101, 9973)
+DIVIDES_DIGEST = "45db5b65d02c389e7c9f2537fcc1385722d8d5d83c70524060124bce46ecffa1"
 
 
 def _sha256(lines):
@@ -122,3 +135,22 @@ def test_mismatching_verify_report_matches_the_golden_digest(monkeypatch):
     # 260 mismatch rows, sorted, at exit code 1
     monkeypatch.setitem(formulas.DELTA2_EVEN_A, 3, 0)
     assert _report_digest(VERIFY_GRID) == VERIFY_MUTANT_REPORT_DIGEST
+
+
+def _divides_cells():
+    for p in GRID_PRIMES:
+        for a in CONFIG.exponents(p):
+            for n in range(1, CONFIG.n_limit(p, a) + 1):
+                yield p, a, n
+    for p in DIVIDES_EXTRA_PRIMES:
+        for a in (1, 2):
+            for n in range(1, 201):
+                yield p, a, n
+
+
+def test_divisibility_answers_match_the_golden_digest():
+    lines = []
+    for p, a, n in _divides_cells():
+        divisible, reason = divides_p_central(p, a, n)
+        lines.append(f"{p} {a} {n} {int(divisible)} {reason.value}")
+    assert _sha256(lines) == DIVIDES_DIGEST
