@@ -5,9 +5,10 @@ BranchTrace recording which case fired and every intermediate quantity:
 
 * ``nu_fibonomial_formula``   -- general (m, k), any prime;
 * ``nu_ratio_prime_powers``   -- (l1*p^b, l2*p^a) prime-power-ratio shape;
-* ``nu_central`` (or ``nu2_central`` / ``nu5_central`` / ``nup_central``
-  for one class of p) -- the central shape (p^a*n, n), which is where the
-  divisibility predicates live.
+* ``nu_central`` -- the central shape (p^a*n, n), which is where the
+  divisibility predicates live.  ``nu5_central`` and ``nup_central`` (which
+  refuses p = 2 and 5) call it; ``nu2_central`` calls the 2-adic row body
+  itself, for the oddness predicates.
 
 All case dispatch is over exact integer residues.  Every quantity the
 formulas claim to be an integer is divided with an exactness check, and
@@ -24,7 +25,9 @@ before it builds p**a and returns the index for reuse.  Past its gates a
 central form runs the row body ``_CENTRAL_ROWS`` picks for p (``_nu2_row``,
 ``_nu5_row`` or ``_nup_row``, each called as (p, a, n, index, rec)), which
 trusts its index; the bodies at p = 2 and 5 read no record, so those skip
-the prime gate.  ``nu_central_rows`` gates a whole table once, at its last
+the prime gate.  For one cell, ``nu_central`` and ``nu2_central`` run the
+gates, and ``nu5_central`` and ``nup_central`` leave them to
+``nu_central``.  ``nu_central_rows`` gates a whole table once, at its last
 row, and ``divides_p_central`` hands the body the index and record it has
 already checked.
 
@@ -147,6 +150,7 @@ BRANCH_REACH: tuple[tuple[Theorem, str, str, int, int | str | None], ...] = (
     (Theorem.T5ADIC, "binomial", "5", 1, None),
     (Theorem.TP_GENERAL_MK, "r>=s", "odd", 1, None),
     (Theorem.TP_GENERAL_MK, "r<s", "odd", 1, None),
+    # "p2 a=b" / "p2 a!=b": b - a even / odd, not a = b (see _P2_RATIO_LABELS)
     (Theorem.TRATIO, "p2 a=b (eq or l2=0)", "2", 1, None),
     (Theorem.TRATIO, "p2 a=b (l1=0)", "2", 1, None),
     (Theorem.TRATIO, "p2 a=b (1,2)", "2", 1, None),
@@ -290,6 +294,18 @@ def _binom_val(p: int, mp: int, kp: int) -> int:
 # ---------------------------------------------------------------------------
 # prime-power ratio (l1*p^b, l2*p^a)
 
+# The p = 2 ratio labels, indexed by (b - a) % 2 and then by case, in the
+# order nu_ratio_prime_powers tests the cases.  "a=b" and "a!=b" name the
+# parity of b - a, not whether a = b: nu_ratio_prime_powers(2, 1, 3, 1, 1)
+# fires "p2 a=b (eq or l2=0)".  Odd b - a reads the even cases at -l1 mod 3,
+# so its (2,2) and (1,1) rows are the even (1,2) and (2,1) cases.  Traces
+# and the verify report carry the labels, so they keep their names.
+_P2_RATIO_LABELS = (
+    ("p2 a=b (eq or l2=0)", "p2 a=b (l1=0)", "p2 a=b (1,2)", "p2 a=b (2,1)"),
+    ("p2 a!=b (neg or l2=0)", "p2 a!=b (l1=0)", "p2 a!=b (2,2)", "p2 a!=b (1,1)"),
+)
+
+
 def nu_ratio_prime_powers(p: int, l1: int, b: int, l2: int, a: int
                           ) -> tuple[Valuation, BranchTrace]:
     """nu_p of the (l1*p^b, l2*p^a) Fibonomial, p != 5, b >= a >= 1.
@@ -313,31 +329,20 @@ def nu_ratio_prime_powers(p: int, l1: int, b: int, l2: int, a: int
     s = l2 * pow(p, a, z) % z
     binom = _binom_val(p, mp, kp)
     if p == 2:
-        c1, c2 = l1 % 3, l2 % 3
-        if (b - a) % 2 == 0:
-            if c1 == c2 or c2 == 0:
-                value, label = binom, "p2 a=b (eq or l2=0)"
-            elif c1 == 0:
-                label = "p2 a=b (l1=0)"
-                value = a + 2 + _gap_val(2, mp, kp, label) + binom
-            elif (c1, c2) == (1, 2):
-                label = "p2 a=b (1,2)"
-                value = (a + 1) // 2 + 1 + _gap_val(2, mp, kp, label) + binom
-            else:  # (c1, c2) == (2, 1)
-                value = (a + 2) // 2 + binom
-                label = "p2 a=b (2,1)"
-        else:
-            if (c1 + c2) % 3 == 0 or c2 == 0:
-                value, label = binom, "p2 a!=b (neg or l2=0)"
-            elif c1 == 0:
-                label = "p2 a!=b (l1=0)"
-                value = a + 2 + _gap_val(2, mp, kp, label) + binom
-            elif (c1, c2) == (1, 1):
-                value = (a + 2) // 2 + binom
-                label = "p2 a!=b (1,1)"
-            else:  # (c1, c2) == (2, 2)
-                label = "p2 a!=b (2,2)"
-                value = (a + 1) // 2 + 1 + _gap_val(2, mp, kp, label) + binom
+        # the row reads l1*2^(b-a) and l2 mod 3, and 2^(b-a) = (-1)^(b-a) (mod 3)
+        odd = (b - a) % 2
+        labels = _P2_RATIO_LABELS[odd]
+        c1, c2 = (-l1 if odd else l1) % 3, l2 % 3
+        if c1 == c2 or c2 == 0:
+            value, label = binom, labels[0]
+        elif c1 == 0:
+            label = labels[1]
+            value = a + 2 + _gap_val(2, mp, kp, label) + binom
+        elif (c1, c2) == (1, 2):
+            label = labels[2]
+            value = (a + 1) // 2 + 1 + _gap_val(2, mp, kp, label) + binom
+        else:  # (c1, c2) == (2, 1)
+            value, label = (a + 2) // 2 + binom, labels[3]
     elif rec.mod5 is _PLUS_MINUS_1:
         if r < s:
             label = "pm1 r<s"
@@ -403,6 +408,8 @@ def nu2_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     eps = [3 does not divide n], c = a/2 or (a-1)/2 by parity of a, and
     delta looked up from the case tables above.
     """
+    # the row body directly, not through nu_central's dispatch: the is_odd_*
+    # predicates call this once per n, three million times in the census
     return _nu2_row(2, a, n, check_index(2, a, n), None)
 
 
@@ -443,7 +450,7 @@ def _nu2_row(p: int, a: int, n: int, index: int, rec: RankRecord | None
 
 def nu5_central(a: int, n: int) -> tuple[Valuation, BranchTrace]:
     """nu_5 of the (5^a*n, n) Fibonomial: s_5((5^a-1)*n) / 4, always >= 1."""
-    return _nu5_row(5, a, n, check_index(5, a, n), None)
+    return nu_central(5, a, n)
 
 
 def _nu5_row(p: int, a: int, n: int, index: int, rec: RankRecord | None
@@ -465,13 +472,13 @@ def _nu5_row(p: int, a: int, n: int, index: int, rec: RankRecord | None
 def nup_central(p: int, a: int, n: int) -> tuple[Valuation, BranchTrace]:
     """nu_p of the (p^a*n, n) Fibonomial for p not in {2, 5}.
 
-    Dispatches on p mod 5 and the parity of a; all fractional parts are
+    nu_central(p, a, n) after refusing p = 2 and 5, whose body ``_nup_row``
+    dispatches on p mod 5 and the parity of a; all fractional parts are
     combined over the common denominator z(p)*(p-1) and checked exact.
     """
     if p in (2, 5):
         raise ValueError("use nu2_central / nu5_central for p = 2, 5")
-    rec = rank_of_apparition(p)
-    return _nup_row(p, a, n, check_index(p, a, n), rec)
+    return nu_central(p, a, n)
 
 
 def _nup_row(p: int, a: int, n: int, index: int, rec: RankRecord | None

@@ -13,13 +13,16 @@ import fibval.formulas as formulas
 from fibval import oracle
 from fibval.arith import _nu_int, fib, is_prime
 from fibval.formulas import (
+    INDEX_CAP,
     all_qualified_labels,
     divides_p_central,
     is_odd_2n,
     is_odd_4n,
     is_odd_8n,
     nu5_central,
+    nu_central,
     nu_fibonomial_formula,
+    nu_ratio_prime_powers,
 )
 from fibval.oracle import OracleTier, nu_fibonomial_oracle
 from fibval.rank import rank_of_apparition
@@ -49,6 +52,12 @@ SMALL_RANK_PRIMES = (
     (46_165_371_073, 71),
     (99_194_853_094_755_497, 83),
 )
+# primes up to the largest below 2^64, for identities that need no oracle:
+# F_43, F_47 and F_83, 2^61 - 1, a 62-bit prime and 2^64 - 59 among them
+IDENTITY_PRIMES = (2, 3, 5, 7, 11, 13, 29, 31, 1597, 433_494_437, 2_971_215_073,
+                   99_194_853_094_755_497, 1_000_003, 2**61 - 1, 3_352_434_377_539_753_333,
+                   2**64 - 59)
+IDENTITY_DRAWS = 10_000  # per family; about 0.1 s each on a 2-core host
 
 
 def record(num: int, description: str, ok: bool) -> None:
@@ -238,3 +247,75 @@ def test_criterion_11_large_primes_of_small_rank():
                f"({nonzero} nonzero) at {len(SMALL_RANK_PRIMES)} primes of small rank, "
                f"{fallback} of them on the index-valuation fallback",
            mismatches == 0 and fallback == 5 and checked == 117_331)
+
+
+def _log_uniform(rng: random.Random, hi: int) -> int:
+    """An integer in 1..hi whose bit length is uniform, so small values are drawn too."""
+    bits = rng.randint(1, hi.bit_length())
+    return rng.randint(1 << (bits - 1), min(hi, (1 << bits) - 1))
+
+
+def _top_exponent(p: int) -> int:
+    """The largest e with p^e <= INDEX_CAP, for a prime p <= INDEX_CAP."""
+    e = 1
+    while p ** (e + 1) <= INDEX_CAP:
+        e += 1
+    return e
+
+
+def test_criterion_12_identities_past_every_oracle():
+    # every oracle stops at 10^7; these identities hold for true valuations at any index
+    start = time.perf_counter()
+    rng = random.Random(12)
+    nu = nu_fibonomial_formula
+    assert all(is_prime(p) for p in IDENTITY_PRIMES)
+    violations = {"symmetry": 0, "trinomial": 0, "central": 0, "ratio": 0}
+    nonzero = dict.fromkeys(violations, 0)
+    for _ in range(IDENTITY_DRAWS):
+        p = rng.choice(IDENTITY_PRIMES)
+        m = _log_uniform(rng, INDEX_CAP - 1)
+        k = rng.randint(0, m)
+        j = rng.randint(0, k)
+        value = nu(p, m, k)[0].value
+        nonzero["symmetry"] += value > 0
+        violations["symmetry"] += value != nu(p, m, m - k)[0].value
+        # C(m,k)C(k,j) = C(m,j)C(m-j,k-j), both F_m!/(F_j! F_(k-j)! F_(m-k)!)
+        revised = nu(p, m, j)[0].value + nu(p, m - j, k - j)[0].value
+        nonzero["trinomial"] += revised > 0
+        violations["trinomial"] += value + nu(p, k, j)[0].value != revised
+    central_primes = [p for p in IDENTITY_PRIMES if p <= INDEX_CAP]
+    for _ in range(IDENTITY_DRAWS):
+        p = rng.choice(central_primes)
+        a = rng.randint(1, _top_exponent(p))
+        n = _log_uniform(rng, INDEX_CAP // p**a)
+        value = nu_central(p, a, n)[0].value
+        nonzero["central"] += value > 0
+        violations["central"] += value != nu(p, p**a * n, n)[0].value
+    ratio_primes = [p for p in central_primes if p != 5]
+    p2_gap = 0
+    p2_deep_labels = set()  # p = 2 rows fired past b - a = 5, where the ratio grids stop
+    for _ in range(IDENTITY_DRAWS):
+        p = rng.choice(ratio_primes)
+        top = _top_exponent(p)
+        a = rng.randint(1, top)
+        b = rng.randint(a, top)
+        l1 = _log_uniform(rng, INDEX_CAP // p**b)
+        m = l1 * p**b
+        if m <= p**a:
+            continue  # no l2 >= 1 with l2*p^a < m
+        l2 = _log_uniform(rng, (m - 1) // p**a)
+        value, trace = nu_ratio_prime_powers(p, l1, b, l2, a)
+        nonzero["ratio"] += value.value > 0
+        violations["ratio"] += value.value != nu(p, m, l2 * p**a)[0].value
+        if p == 2:
+            p2_gap = max(p2_gap, b - a)
+            if b - a > 5:
+                p2_deep_labels.add(trace.branch_label)
+    elapsed = time.perf_counter() - start
+    ok = (sum(violations.values()) == 0 and min(nonzero.values()) > IDENTITY_DRAWS // 4
+          and p2_gap >= 60 and len(p2_deep_labels) == 8)
+    record(12, f"symmetry, trinomial revision, central = general and ratio = general "
+               f"hold on {IDENTITY_DRAWS} draws each at {len(IDENTITY_PRIMES)} primes up to "
+               f"2^64 - 59, m < 2^63 (nonzero {nonzero}; violations {violations}; "
+               f"p = 2 ratio to b - a = {p2_gap}, all 8 rows past b - a = 5; "
+               f"{elapsed:.2f}s)", ok)

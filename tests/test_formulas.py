@@ -432,6 +432,9 @@ def count_gates(monkeypatch):
     # p = 2 and p = 5 need no rank record
     pytest.param(lambda: nu_central(2, 3, 7), 1, 0, id="central-p2"),
     pytest.param(lambda: nu_central(5, 2, 7), 1, 0, id="central-p5"),
+    # the per-class entries leave the gates to nu_central
+    pytest.param(lambda: nup_central(7, 2, 3), 1, 1, id="nup-p7"),
+    pytest.param(lambda: nu5_central(2, 7), 1, 0, id="nu5"),
     # one of each for the whole table, not one per row
     pytest.param(lambda: list(nu_central_rows(7, 2, 30)), 1, 1, id="rows-p7"),
 ])
